@@ -49,7 +49,10 @@ mod sweep;
 
 pub use allocator::{AllocStats, KvAllocator, MonolithicAllocator, PagedAllocator};
 pub use llmib_types::{Priority, Request, RequestState};
-pub use overload::{BrownoutConfig, BrownoutController, ClassCounters, OverloadConfig};
+pub use overload::{
+    insert_by_priority, pick_victim, BrownoutConfig, BrownoutController, ClassCounters,
+    OverloadConfig,
+};
 pub use simulator::{
     ArrivalPattern, BatchingPolicy, ReplicatedReport, ServingReport, ServingSimulator, SimConfig,
 };

@@ -23,6 +23,7 @@
 
 use llmib_types::Priority;
 use serde::Serialize;
+use std::collections::VecDeque;
 
 /// Brownout controller knobs. Disabled by default; both backends run
 /// the identical controller when enabled.
@@ -189,6 +190,38 @@ impl BrownoutController {
     }
 }
 
+/// Insert `item` into a priority-ordered queue: before the first entry
+/// of a *strictly* lower class, so higher classes go first and each
+/// class stays FIFO (equivalent to `push_back` for single-class
+/// traffic). `class_of` maps a queue entry to its class.
+pub fn insert_by_priority<T>(queue: &mut VecDeque<T>, item: T, class_of: impl Fn(&T) -> Priority) {
+    let class = class_of(&item);
+    let pos = queue
+        .iter()
+        .position(|queued| class_of(queued) < class)
+        .unwrap_or(queue.len());
+    queue.insert(pos, item);
+}
+
+/// The preemption victim for a preemptor of class `preemptor`: among
+/// `candidates` of a class strictly below it, the lowest class, and
+/// within that class the youngest admission (largest admission sequence
+/// number). `class_and_seq` maps a candidate to `(class, admit_seq)`.
+/// `None` when nothing ranks below the preemptor.
+pub fn pick_victim<T>(
+    candidates: impl IntoIterator<Item = T>,
+    preemptor: Priority,
+    class_and_seq: impl Fn(&T) -> (Priority, u64),
+) -> Option<T> {
+    candidates
+        .into_iter()
+        .filter(|c| class_and_seq(c).0 < preemptor)
+        .min_by_key(|c| {
+            let (class, seq) = class_and_seq(c);
+            (class, std::cmp::Reverse(seq))
+        })
+}
+
 /// Per-priority-class counters, indexed by [`Priority::index`]
 /// (0 = best-effort, 1 = standard, 2 = interactive). Both serving
 /// backends fill the same block so a reconciliation test can assert
@@ -339,6 +372,35 @@ mod tests {
         assert!(cfg.validate().is_ok());
         assert!(OverloadConfig::default().validate().is_ok());
         assert!(!OverloadConfig::default().active());
+    }
+
+    #[test]
+    fn priority_insert_goes_before_the_first_strictly_lower_class() {
+        use Priority::{BestEffort, Interactive, Standard};
+        let mut queue: VecDeque<(Priority, u32)> = VecDeque::new();
+        for (i, class) in [Standard, BestEffort, Interactive, Standard, Interactive]
+            .into_iter()
+            .enumerate()
+        {
+            insert_by_priority(&mut queue, (class, i as u32), |&(c, _)| c);
+        }
+        let order: Vec<u32> = queue.iter().map(|&(_, i)| i).collect();
+        assert_eq!(order, vec![2, 4, 0, 3, 1], "classes first, FIFO within");
+    }
+
+    #[test]
+    fn victim_is_the_youngest_of_the_lowest_class_below_the_preemptor() {
+        use Priority::{BestEffort, Interactive, Standard};
+        let running = [
+            (Standard, 1u64),
+            (BestEffort, 2),
+            (BestEffort, 5),
+            (Interactive, 9),
+        ];
+        let pick = |preemptor| pick_victim(running.iter(), preemptor, |&&(c, s)| (c, s));
+        assert_eq!(pick(Interactive), Some(&(BestEffort, 5)));
+        assert_eq!(pick(Standard), Some(&(BestEffort, 5)));
+        assert_eq!(pick(BestEffort), None, "nothing ranks below best-effort");
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The discrete-event serving loop.
 
 use crate::allocator::{KvAllocator, MonolithicAllocator, PagedAllocator};
-use crate::overload::{BrownoutController, ClassCounters, OverloadConfig};
+use crate::overload::{
+    insert_by_priority, pick_victim, BrownoutController, ClassCounters, OverloadConfig,
+};
 use llmib_perf::ResolvedScenario;
 use llmib_types::{
-    stats, FaultKind, FaultPlan, ItlSummary, LatencySample, Priority, ReplicaFaultPlan,
+    stats, FaultKind, FaultPlan, ItlSummary, LatencySample, Priority, ReplicaFaultPlan, ReplicaId,
     ReplicaRole, Request, RequestState, RetryPolicy, Seconds,
 };
 use rand::rngs::StdRng;
@@ -144,7 +146,7 @@ pub struct ServingReport {
     pub per_request: Vec<LatencySample>,
 }
 
-/// Outcome of a replicated ([`ServingSimulator::run_replicated`]) run.
+/// Outcome of a pool run ([`ServingSimulator::run_pool`]).
 #[derive(Debug, Clone, Serialize)]
 pub struct ReplicatedReport {
     /// Pool-level aggregate over all replicas (makespan is the max
@@ -157,51 +159,95 @@ pub struct ReplicatedReport {
     /// Generated tokens carried over as prefill prefix by those
     /// migrations (the live pool replays exactly these).
     pub migrated_tokens: u64,
-    /// Planned prefill→decode boundary handoffs under disaggregated
-    /// roles ([`ServingSimulator::run_disaggregated`]); zero in
-    /// unified-role runs. Counted separately from failure
-    /// `migrations`, mirroring the live router's books.
+    /// Planned prefill→decode boundary handoffs: sequences that produced
+    /// their first token on a [`ReplicaRole::Prefill`] replica. Zero when
+    /// every role is [`ReplicaRole::Unified`]. Counted separately from
+    /// failure `migrations`, mirroring the live router's books.
     pub disagg_handoffs: u32,
     /// Requests completed per replica, indexed by `ReplicaId`.
     pub per_replica_completed: Vec<u32>,
 }
 
-/// One simulated replica: its own clock, KV pool, queues and fault
-/// plan — the mirror of a live `llmib-serve` scheduler thread.
+/// One simulated replica: the mirror of one live `llmib-serve`
+/// scheduler thread, with its own clock, KV pool, queues, fault cursor,
+/// pressure window, reservation ledger and brownout ladder.
 struct Rep {
-    plan: FaultPlan,
-    alloc: Box<dyn KvAllocator>,
-    queue: VecDeque<usize>,
-    running: Vec<usize>,
     now: Seconds,
     decode_steps: u64,
+    alloc: Box<dyn KvAllocator>,
+    /// Requests waiting for admission, in arrival order. Under overload
+    /// admission only not-yet-arrived requests wait here: intake moves
+    /// arrivals on to `ready`.
+    queue: VecDeque<usize>,
+    /// Arrived requests in priority order (overload admission only).
+    ready: VecDeque<usize>,
+    /// Admitted sequences still prefilling under chunked prefill, with
+    /// their remaining cold tokens (KV already charged, like the live
+    /// pending reservation).
+    prefilling: VecDeque<(usize, u32)>,
+    running: Vec<usize>,
+    plan: FaultPlan,
+    /// Index of the next not-yet-activated event of `plan`.
     next_event: usize,
     poisoned: Vec<u64>,
+    /// Active memory-pressure window: `(capacity factor, decode steps
+    /// left)`.
     pressure: Option<(f64, u64)>,
+    /// KV tokens reserved by admitted sequences — the live `KvBudget`
+    /// ledger (overload admission only; zero otherwise).
+    reserved: u64,
+    brownout: BrownoutController,
     dead: bool,
     completed: u32,
 }
 
 impl Rep {
     fn has_work(&self) -> bool {
-        !self.queue.is_empty() || !self.running.is_empty()
+        !self.queue.is_empty()
+            || !self.ready.is_empty()
+            || !self.prefilling.is_empty()
+            || !self.running.is_empty()
+    }
+
+    /// Return `idx`'s KV blocks and its reservation to this replica.
+    fn release(&mut self, flights: &Flights, idx: usize) {
+        self.alloc.release(flights.requests[idx].id);
+        self.reserved -= flights.cost_of[idx];
     }
 }
 
-/// What one replica advance produced.
-enum ReplicaEvent {
-    /// The replica's clock or state moved.
-    Progressed,
-    /// Nothing to do (queue and batch empty).
-    Idle,
-    /// The replica died to a planned scheduler panic; the payload is
-    /// every outstanding request index it was holding.
-    Died(Vec<usize>),
+/// The trace under simulation plus the state every replica step
+/// shares: per-request ledger entries and the run's counters. Requests
+/// are addressed by their index in arrival order.
+struct Flights {
+    requests: Vec<Request>,
+    /// Reservation each admitted request holds (overload admission).
+    cost_of: Vec<u64>,
+    /// Admission sequence number of each request (replays included) —
+    /// the youngest-victim tie-break both backends share.
+    seq_of: Vec<u64>,
+    next_seq: u64,
+    /// Whether a request re-enters as a replay: it keeps its remaining
+    /// budget (never clamped) and is never brownout-shed.
+    replay: Vec<bool>,
+    tally: Tally,
 }
 
-/// Pool-wide counters shared by every replica advance.
+impl Flights {
+    fn fail(&mut self, idx: usize) {
+        self.requests[idx].state = RequestState::Failed;
+        self.tally.failed += 1;
+    }
+
+    fn reject(&mut self, idx: usize) {
+        self.requests[idx].state = RequestState::Rejected;
+        self.tally.rejected += 1;
+    }
+}
+
+/// Every counter of a run, summed over replicas.
 #[derive(Default)]
-struct PoolTally {
+struct Tally {
     rejected: u32,
     failed: u32,
     preemptions: u32,
@@ -209,8 +255,16 @@ struct PoolTally {
     faults_injected: u32,
     occupancy_acc: f64,
     peak_util: f64,
+    prefill_chunks: u64,
     prefix_hits: u32,
     saved_prefill_tokens: u64,
+    replayed_tokens: u64,
+    brownout_sheds: u32,
+    per_class: ClassCounters,
+    failovers: u32,
+    migrations: u32,
+    migrated_tokens: u64,
+    disagg_handoffs: u32,
 }
 
 /// Block-aligned shared-prefix tokens a prefix-cache hit can skip for
@@ -224,6 +278,18 @@ fn aligned_prefix(req: &Request, block_tokens: u32) -> u32 {
     full.min(cap) * bt
 }
 
+/// Fold `req`'s generated tokens into its prompt as a replay prefill
+/// (preemption, migration and handoff all resume this way) and return
+/// how many were folded.
+fn fold_into_prompt(req: &mut Request) -> u32 {
+    let generated = req.generated;
+    req.prompt_tokens += generated;
+    req.output_tokens -= generated;
+    req.generated = 0;
+    req.state = RequestState::Queued;
+    generated
+}
+
 /// Keep a replica queue sorted by arrival so front-gated admission
 /// stays correct after migrations splice in mid-run.
 fn insert_by_arrival(queue: &mut VecDeque<usize>, idx: usize, requests: &[Request]) {
@@ -235,34 +301,20 @@ fn insert_by_arrival(queue: &mut VecDeque<usize>, idx: usize, requests: &[Reques
     queue.insert(pos, idx);
 }
 
-/// Keep a queue ordered by priority class (higher first, FIFO within a
-/// class): insert before the first entry of *strictly* lower class.
-/// Both serving backends use this exact rule so their admission orders
-/// match under overload.
-fn insert_by_priority(queue: &mut VecDeque<usize>, idx: usize, requests: &[Request]) {
-    let pri = requests[idx].priority;
-    let pos = queue
-        .iter()
-        .position(|&q| requests[q].priority < pri)
-        .unwrap_or(queue.len());
-    queue.insert(pos, idx);
-}
-
-/// Preemption victim among `running` for a preemptor of class
-/// `preemptor`: the lowest class strictly below it, youngest admission
-/// (max `seq_of`) within that class. Returns the position in `running`.
-fn pick_victim(
-    running: &[usize],
-    requests: &[Request],
-    seq_of: &[u64],
-    preemptor: Priority,
+/// Advance the round-robin `cursor` to the next live replica that
+/// `accepts`, trying each replica at most once.
+fn next_replica(
+    reps: &[Rep],
+    cursor: &mut usize,
+    accepts: impl Fn(usize) -> bool,
 ) -> Option<usize> {
-    running
-        .iter()
-        .enumerate()
-        .filter(|&(_, &idx)| requests[idx].priority < preemptor)
-        .min_by_key(|&(_, &idx)| (requests[idx].priority, std::cmp::Reverse(seq_of[idx])))
-        .map(|(pos, _)| pos)
+    (0..reps.len())
+        .map(|_| {
+            let t = *cursor % reps.len();
+            *cursor += 1;
+            t
+        })
+        .find(|&t| !reps[t].dead && accepts(t))
 }
 
 /// The serving simulator.
@@ -318,9 +370,10 @@ impl ServingSimulator {
     }
 
     /// Run `requests` against `perf` while replaying `plan` on the
-    /// simulated clock. Faults are anchored to decode-step indices —
-    /// the same clock the live `llmib-serve` runtime counts — so one
-    /// plan describes one chaos scenario in both backends:
+    /// simulated clock: a one-replica [`ServingSimulator::run_pool`].
+    /// Faults are anchored to decode-step indices — the same clock the
+    /// live `llmib-serve` runtime counts — so one plan describes one
+    /// chaos scenario in both backends:
     ///
     /// * [`FaultKind::StepStall`] advances the clock by the extra
     ///   latency,
@@ -334,934 +387,51 @@ impl ServingSimulator {
     ///   (the live analog of a contained scheduler death).
     pub fn run_with_faults(
         &self,
-        mut requests: Vec<Request>,
+        requests: Vec<Request>,
         perf: &ResolvedScenario,
         plan: &FaultPlan,
     ) -> ServingReport {
-        if let Some(overload) = self.overload {
-            return self.run_overload(requests, perf, plan, &overload);
-        }
-        requests.sort_by(|a, b| a.arrival.value().total_cmp(&b.arrival.value()));
-        let mut alloc = self.new_alloc();
-
-        let mut queue: VecDeque<usize> = (0..requests.len()).collect();
-        let mut running: Vec<usize> = Vec::new();
-        let mut now = Seconds::ZERO;
-        let mut preemptions = 0u32;
-        let mut rejected = 0u32;
-        let mut decode_steps = 0u64;
-        let mut occupancy_acc = 0.0f64;
-        let mut peak_util = 0.0f64;
-        let mut completed = 0u32;
-        let total = requests.len() as u32;
-
-        // Fault-replay state, mirroring `llmib-serve`'s FaultInjector:
-        // events activate once their anchor step is reached.
-        let retry = RetryPolicy::default();
-        let mut next_event = 0usize;
-        let mut poisoned: Vec<u64> = Vec::new();
-        let mut pressure: Option<(f64, u64)> = None;
-        let mut failed = 0u32;
-        let mut retries = 0u32;
-        let mut faults_injected = 0u32;
-        let mut prefix_hits = 0u32;
-        let mut saved_prefill_tokens = 0u64;
-        // Chunked mode: admitted-but-cold sequences wait here (KV
-        // already charged, like the live pending reservation) and
-        // drain one token-budgeted chunk per scheduler step.
-        let mut prefilling: VecDeque<(usize, u32)> = VecDeque::new();
-        let mut prefill_chunks = 0u64;
-
-        'serve: while completed + rejected + failed < total {
-            // --- Fault activation (anchored to the decode-step clock) ---
-            while let Some(ev) = plan.events().get(next_event) {
-                if ev.at_step > decode_steps {
-                    break;
-                }
-                faults_injected += 1;
-                next_event += 1;
-                match ev.kind {
-                    FaultKind::StepStall { extra } => {
-                        now += Seconds(extra.value().max(0.0));
-                    }
-                    FaultKind::TransientStepError { failures } => {
-                        if failures > retry.max_retries {
-                            // The live supervisor exhausts its retry
-                            // budget and fails the whole stuck batch.
-                            for idx in running.drain(..) {
-                                let r = &mut requests[idx];
-                                alloc.release(r.id);
-                                r.state = RequestState::Failed;
-                                failed += 1;
-                            }
-                        } else {
-                            for attempt in 1..=failures {
-                                now += retry.backoff(attempt, plan.seed ^ decode_steps);
-                                retries += 1;
-                            }
-                        }
-                    }
-                    FaultKind::RequestPoison { request } => poisoned.push(request),
-                    FaultKind::MemoryPressure {
-                        capacity_factor,
-                        steps,
-                    } => pressure = Some((capacity_factor.clamp(0.01, 1.0), steps.max(1))),
-                    FaultKind::SchedulerPanic => {
-                        // The live analog: a contained scheduler death
-                        // resolves every outstanding request as failed.
-                        for idx in queue.drain(..) {
-                            requests[idx].state = RequestState::Failed;
-                            failed += 1;
-                        }
-                        for (idx, _) in prefilling.drain(..) {
-                            let r = &mut requests[idx];
-                            alloc.release(r.id);
-                            r.state = RequestState::Failed;
-                            failed += 1;
-                        }
-                        for idx in running.drain(..) {
-                            let r = &mut requests[idx];
-                            alloc.release(r.id);
-                            r.state = RequestState::Failed;
-                            failed += 1;
-                        }
-                        break 'serve;
-                    }
-                }
-            }
-            // --- Poison eviction: victims die once (and only once they
-            //     are actually decoding — a poisoned pending sequence
-            //     surfaces after its prefill completes, like the live
-            //     injector) ---
-            if !poisoned.is_empty() {
-                let mut i = 0;
-                while i < running.len() {
-                    let id = requests[running[i]].id;
-                    if let Some(pos) = poisoned.iter().position(|&p| p == id) {
-                        poisoned.swap_remove(pos);
-                        let idx = running.swap_remove(i);
-                        let r = &mut requests[idx];
-                        alloc.release(r.id);
-                        r.state = RequestState::Failed;
-                        failed += 1;
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            // --- Admission ---
-            let may_admit = match self.config.policy {
-                BatchingPolicy::Continuous => true,
-                BatchingPolicy::Static => running.is_empty(),
-            };
-            let mut newly_admitted: Vec<(usize, u32)> = Vec::new();
-            if may_admit {
-                // Pending (still-prefilling) sequences count against the
-                // concurrency cap, exactly like the live scheduler.
-                while running.len() + prefilling.len() + newly_admitted.len()
-                    < self.config.max_concurrency as usize
-                {
-                    let Some(&idx) = queue.front() else { break };
-                    if requests[idx].arrival.value() > now.value() {
-                        break;
-                    }
-                    // Under a memory-pressure window the pool is
-                    // temporarily shrunk: hold admissions that would push
-                    // utilization past the factor (existing sequences are
-                    // unaffected, exactly like the live KvBudget).
-                    if let Some((factor, _)) = pressure {
-                        if alloc.stats().utilization() >= factor {
-                            break;
-                        }
-                    }
-                    let req = &requests[idx];
-                    if !alloc.can_admit(req.max_context()) {
-                        break;
-                    }
-                    // Prefix-cache model (paged pools only, mirroring the
-                    // live engine's block trie): the block-aligned shared
-                    // prefix lives in the shared ledger, charged once. The
-                    // first sharer is cold — it prefills everything and
-                    // makes the prefix resident; later sharers skip it.
-                    let aligned = match self.config.kv_block_tokens {
-                        Some(bt) if req.shared_prefix_tokens > 0 => aligned_prefix(req, bt),
-                        _ => 0,
-                    };
-                    let key = u64::from(req.shared_prefix_tokens);
-                    let cached = if aligned > 0 && alloc.shared_resident(key) {
-                        aligned
-                    } else {
-                        0
-                    };
-                    if alloc.admit(req.id, req.max_context()).is_err() {
-                        break;
-                    }
-                    if aligned > 0
-                        && cached == 0
-                        && alloc.acquire_shared(key, u64::from(aligned)).is_err()
-                    {
-                        alloc.release(req.id);
-                        break;
-                    }
-                    // Prefill KV lands immediately on admission; the
-                    // shared part is already accounted in the ledger.
-                    if alloc.append(req.id, req.prompt_tokens - aligned).is_err() {
-                        alloc.release(req.id);
-                        break;
-                    }
-                    if cached > 0 {
-                        prefix_hits += 1;
-                        saved_prefill_tokens += u64::from(cached);
-                    }
-                    queue.pop_front();
-                    newly_admitted.push((idx, req.prompt_tokens - cached));
-                }
-            }
-            if !newly_admitted.is_empty() {
-                if self.chunk_budget.is_some() {
-                    // Chunked mode: no prefill time is charged at
-                    // admission — the sequence queues cold and its
-                    // prefill drains below, one chunk per step.
-                    for (idx, cold) in newly_admitted {
-                        prefilling.push_back((idx, cold));
-                    }
-                } else {
-                    let k = newly_admitted.len() as u32;
-                    let mean_prompt = (newly_admitted
-                        .iter()
-                        .map(|&(_, prefill)| u64::from(prefill))
-                        .sum::<u64>()
-                        / u64::from(k)) as u32;
-                    now += perf.prefill_time(k, mean_prompt.max(1));
-                    for (idx, _) in newly_admitted {
-                        requests[idx].state = RequestState::Decoding;
-                        running.push(idx);
-                    }
-                }
-            }
-
-            // --- One prefill chunk (chunked mode): at most one
-            //     token-budgeted chunk of the head pending sequence per
-            //     scheduler step, interleaved with the decode step below
-            //     — the live scheduler-loop policy mirrored. ---
-            if let Some(budget) = self.chunk_budget {
-                if let Some((idx, remaining)) = prefilling.front_mut() {
-                    let take = (*remaining).min(budget).max(1);
-                    now += perf.prefill_time(1, take);
-                    prefill_chunks += 1;
-                    *remaining = remaining.saturating_sub(take);
-                    if *remaining == 0 {
-                        let idx = *idx;
-                        prefilling.pop_front();
-                        requests[idx].state = RequestState::Decoding;
-                        running.push(idx);
-                    }
-                }
-            }
-
-            if running.is_empty() {
-                if !prefilling.is_empty() {
-                    // A chunk just ran; the clock advanced, so keep
-                    // draining the pending queue.
-                    continue;
-                }
-                // Idle: jump to the next arrival.
-                match queue.front() {
-                    Some(&idx) => {
-                        let arr = requests[idx].arrival;
-                        if arr.value() > now.value() {
-                            now = arr;
-                        } else {
-                            // Nothing fits even though requests wait and
-                            // the pool is idle: this request can never be
-                            // held. A serving system must shed it and keep
-                            // going, not crash (the live runtime in
-                            // llmib-serve does the same).
-                            queue.pop_front();
-                            requests[idx].state = RequestState::Rejected;
-                            rejected += 1;
-                        }
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-
-            // --- One decode step ---
-            let batch = running.len() as u32;
-            let ctx_avg = (running
-                .iter()
-                .map(|&i| u64::from(requests[i].context()))
-                .sum::<u64>()
-                / u64::from(batch)) as u32;
-            now += perf.decode_step_time(batch, ctx_avg);
-            decode_steps += 1;
-            occupancy_acc += f64::from(batch);
-
-            // Append one token per running sequence; on pool exhaustion,
-            // preempt the youngest sequence (vLLM recompute-style) and
-            // retry the append for the survivors.
-            let mut i = 0;
-            while i < running.len() {
-                let idx = running[i];
-                let id = requests[idx].id;
-                match alloc.append(id, 1) {
-                    Ok(()) => {
-                        let r = &mut requests[idx];
-                        r.generated += 1;
-                        if r.generated == 1 {
-                            r.first_token_at = Some(now);
-                        }
-                        i += 1;
-                    }
-                    Err(_) => {
-                        // Evict the most recently admitted sequence.
-                        let victim_pos = running.len() - 1;
-                        let victim_idx = running.swap_remove(victim_pos);
-                        let v = &mut requests[victim_idx];
-                        alloc.release(v.id);
-                        if running.is_empty() && victim_idx == idx {
-                            // It had the whole pool to itself and still
-                            // ran out: it can never finish. Requeueing
-                            // would preempt-loop forever; shed it.
-                            v.state = RequestState::Rejected;
-                            rejected += 1;
-                            continue;
-                        }
-                        v.state = RequestState::Queued;
-                        v.generated = 0;
-                        v.first_token_at = None;
-                        queue.push_front(victim_idx);
-                        preemptions += 1;
-                        if victim_idx == idx {
-                            // The victim was the sequence we were serving.
-                            continue;
-                        }
-                    }
-                }
-            }
-
-            peak_util = peak_util.max(alloc.stats().utilization());
-
-            // --- Completions ---
-            running.retain(|&idx| {
-                let r = &mut requests[idx];
-                if r.generated >= r.output_tokens {
-                    r.state = RequestState::Finished;
-                    r.finished_at = Some(now);
-                    alloc.release(r.id);
-                    completed += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-
-        self.report(
-            &requests,
-            now,
-            decode_steps,
-            prefill_chunks,
-            occupancy_acc,
-            peak_util,
-            preemptions,
-            rejected,
-            FaultTally {
-                failed,
-                retries,
-                faults_injected,
-            },
-            PrefixTally {
-                hits: prefix_hits,
-                saved_tokens: saved_prefill_tokens,
-            },
-            OverloadTally::default(),
-        )
+        let plan = ReplicaFaultPlan::single(ReplicaId(0), plan.clone());
+        self.run_pool(requests, perf, &[ReplicaRole::Unified], &plan)
+            .aggregate
     }
 
-    /// The overload-mode serving loop: the same discrete-event clock as
-    /// [`ServingSimulator::run_with_faults`], but admission mirrors the
-    /// live `llmib-serve` scheduler exactly —
+    /// Run `requests` across one replica per entry of `roles`,
+    /// mirroring the live `llmib-serve` `ReplicaPool`. Each replica
+    /// runs this scheduler on its own clock, KV pool and
+    /// [`ReplicaFaultPlan::plan_for`] slice; the pool always advances
+    /// the live replica whose clock is furthest behind, a deterministic
+    /// merge of the per-replica event streams.
     ///
-    /// * requests wait in a **priority-ordered** ready queue (higher
-    ///   class first, FIFO within a class),
-    /// * admission **reserves** the block-rounded maximum context
-    ///   upfront (the live `KvBudget` arithmetic), so mid-decode
-    ///   appends never fail,
-    /// * a reservation failure **preempts** the youngest running
-    ///   sequence of the lowest class strictly below the preemptor's:
-    ///   its generated tokens fold into the prompt as a replay prefill
-    ///   and it re-enters the ready queue (counted in `preemptions` /
-    ///   `replayed_tokens`, per class),
-    /// * each decode step feeds the shared [`BrownoutController`] an
-    ///   admission-starvation sample; level 1 clamps best-effort
-    ///   budgets at first admission, level 2 sheds queued best-effort.
-    fn run_overload(
-        &self,
-        mut requests: Vec<Request>,
-        perf: &ResolvedScenario,
-        plan: &FaultPlan,
-        overload: &OverloadConfig,
-    ) -> ServingReport {
-        requests.sort_by(|a, b| a.arrival.value().total_cmp(&b.arrival.value()));
-        let n = requests.len();
-        let total = n as u32;
-        let mut alloc = self.new_alloc();
-        let block = u64::from(self.config.kv_block_tokens.unwrap_or(1).max(1));
-        let capacity = self.config.kv_capacity_tokens;
-        let cost = |max_context: u32| u64::from(max_context).div_ceil(block) * block;
-        let mut brownout = BrownoutController::new(overload.brownout);
-
-        // Not-yet-arrived (arrival order) vs. arrived (priority order).
-        let mut pending: VecDeque<usize> = (0..n).collect();
-        let mut ready: VecDeque<usize> = VecDeque::new();
-        let mut running: Vec<usize> = Vec::new();
-        let mut now = Seconds::ZERO;
-        // The live KvBudget's reservation ledger, mirrored exactly.
-        let mut reserved = 0u64;
-        let mut cost_of = vec![0u64; n];
-        // Admission sequence numbers (incremented on every admission,
-        // replays included) — the victim tie-break both backends share.
-        let mut seq_of = vec![0u64; n];
-        let mut next_seq = 0u64;
-        // A replayed victim keeps its remaining budget (never clamped)
-        // and is never brownout-shed: its stream must complete.
-        let mut replay = vec![false; n];
-
-        let mut preemptions = 0u32;
-        let mut rejected = 0u32;
-        let mut sheds = 0u32;
-        let mut decode_steps = 0u64;
-        let mut occupancy_acc = 0.0f64;
-        let mut peak_util = 0.0f64;
-        let mut completed = 0u32;
-        let mut per_class = ClassCounters::default();
-        let mut replayed_tokens = 0u64;
-
-        let retry = RetryPolicy::default();
-        let mut next_event = 0usize;
-        let mut poisoned: Vec<u64> = Vec::new();
-        let mut pressure: Option<(f64, u64)> = None;
-        let mut failed = 0u32;
-        let mut retries = 0u32;
-        let mut faults_injected = 0u32;
-        // Chunked mode: admitted-but-cold sequences (reservation held)
-        // drain one token-budgeted chunk per scheduler step.
-        let mut prefilling: VecDeque<(usize, u32)> = VecDeque::new();
-        let mut prefill_chunks = 0u64;
-
-        'serve: while completed + rejected + failed + sheds < total {
-            // --- Fault activation (decode-step clock, *before* intake:
-            //     a stall's clock advance makes arrivals visible — the
-            //     live overload scheduler drains its pending stall at
-            //     the same loop point) ---
-            while let Some(ev) = plan.events().get(next_event) {
-                if ev.at_step > decode_steps {
-                    break;
-                }
-                faults_injected += 1;
-                next_event += 1;
-                match ev.kind {
-                    FaultKind::StepStall { extra } => {
-                        now += Seconds(extra.value().max(0.0));
-                    }
-                    FaultKind::TransientStepError { failures } => {
-                        if failures > retry.max_retries {
-                            for idx in running.drain(..) {
-                                let r = &mut requests[idx];
-                                alloc.release(r.id);
-                                reserved -= cost_of[idx];
-                                r.state = RequestState::Failed;
-                                failed += 1;
-                            }
-                        } else {
-                            for attempt in 1..=failures {
-                                now += retry.backoff(attempt, plan.seed ^ decode_steps);
-                                retries += 1;
-                            }
-                        }
-                    }
-                    FaultKind::RequestPoison { request } => poisoned.push(request),
-                    FaultKind::MemoryPressure {
-                        capacity_factor,
-                        steps,
-                    } => pressure = Some((capacity_factor.clamp(0.01, 1.0), steps.max(1))),
-                    FaultKind::SchedulerPanic => {
-                        // Terminal: the ledger dies with the scheduler,
-                        // so only the allocator needs releasing.
-                        for idx in pending.drain(..).chain(ready.drain(..)) {
-                            requests[idx].state = RequestState::Failed;
-                            failed += 1;
-                        }
-                        for (idx, _) in prefilling.drain(..) {
-                            let r = &mut requests[idx];
-                            alloc.release(r.id);
-                            r.state = RequestState::Failed;
-                            failed += 1;
-                        }
-                        for idx in running.drain(..) {
-                            let r = &mut requests[idx];
-                            alloc.release(r.id);
-                            r.state = RequestState::Failed;
-                            failed += 1;
-                        }
-                        break 'serve;
-                    }
-                }
-            }
-            // --- Poison eviction (decoding victims only) ---
-            if !poisoned.is_empty() {
-                let mut i = 0;
-                while i < running.len() {
-                    let id = requests[running[i]].id;
-                    if let Some(pos) = poisoned.iter().position(|&p| p == id) {
-                        poisoned.swap_remove(pos);
-                        let idx = running.swap_remove(i);
-                        let r = &mut requests[idx];
-                        alloc.release(r.id);
-                        reserved -= cost_of[idx];
-                        r.state = RequestState::Failed;
-                        failed += 1;
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            // --- Intake: arrived requests move to the priority-ordered
-            //     ready queue (the live waiting queue), with the live
-            //     oversized screen applied at the door ---
-            while let Some(&idx) = pending.front() {
-                if requests[idx].arrival.value() > now.value() {
-                    break;
-                }
-                pending.pop_front();
-                if cost(requests[idx].max_context()) > capacity {
-                    requests[idx].state = RequestState::Rejected;
-                    rejected += 1;
-                    continue;
-                }
-                insert_by_priority(&mut ready, idx, &requests);
-            }
-            // --- Admission (the live `Scheduler::admit` mirrored) ---
-            let may_admit = match self.config.policy {
-                BatchingPolicy::Continuous => true,
-                BatchingPolicy::Static => running.is_empty(),
-            };
-            let mut starved = false;
-            let mut newly_admitted: Vec<(usize, u32)> = Vec::new();
-            if may_admit {
-                // Brownout level 2: shed queued best-effort first
-                // admissions outright (never replays — their streams
-                // must complete to stay bitwise comparable).
-                if brownout.level() >= BrownoutController::MAX_LEVEL {
-                    let shed: Vec<usize> = ready
-                        .iter()
-                        .copied()
-                        .filter(|&idx| !replay[idx] && brownout.should_shed(requests[idx].priority))
-                        .collect();
-                    ready.retain(|idx| !shed.contains(idx));
-                    for idx in shed {
-                        let r = &mut requests[idx];
-                        r.state = RequestState::Rejected;
-                        per_class.shed[r.priority.index()] += 1;
-                        sheds += 1;
-                    }
-                }
-                'admit: while running.len() + prefilling.len() + newly_admitted.len()
-                    < self.config.max_concurrency as usize
-                {
-                    let Some(&idx) = ready.front() else { break };
-                    // Budget for this admission: replays keep their
-                    // remaining tokens; first admissions may be clamped
-                    // by brownout level 1. The clamp is applied only if
-                    // the admission succeeds, like the live scheduler.
-                    let out = if replay[idx] {
-                        requests[idx].output_tokens
-                    } else {
-                        brownout.clamp_max_new(
-                            requests[idx].priority,
-                            requests[idx].output_tokens as usize,
-                        ) as u32
-                    };
-                    let max_context = requests[idx].prompt_tokens + out;
-                    let c = cost(max_context);
-                    let effective = match pressure {
-                        Some((factor, _)) => (capacity as f64 * factor).floor() as u64,
-                        None => capacity,
-                    };
-                    if reserved + c > effective || !alloc.can_admit(max_context) {
-                        // Preempt the youngest running sequence of the
-                        // lowest class strictly below the preemptor's:
-                        // fold its stream into a replay prefill and
-                        // retry the same front.
-                        if overload.preemption {
-                            if let Some(pos) =
-                                pick_victim(&running, &requests, &seq_of, requests[idx].priority)
-                            {
-                                let vidx = running.swap_remove(pos);
-                                // Eviction for any reason cancels a
-                                // pending poison — the live injector's
-                                // `evict` contract, mirrored so both
-                                // backends agree on a preempted victim's
-                                // fate.
-                                poisoned.retain(|&p| p != requests[vidx].id);
-                                let v = &mut requests[vidx];
-                                alloc.release(v.id);
-                                reserved -= cost_of[vidx];
-                                preemptions += 1;
-                                per_class.preemptions[v.priority.index()] += 1;
-                                per_class.replayed_tokens[v.priority.index()] +=
-                                    u64::from(v.generated);
-                                replayed_tokens += u64::from(v.generated);
-                                v.prompt_tokens += v.generated;
-                                v.output_tokens -= v.generated;
-                                v.generated = 0;
-                                v.state = RequestState::Queued;
-                                replay[vidx] = true;
-                                insert_by_priority(&mut ready, vidx, &requests);
-                                continue 'admit;
-                            }
-                        }
-                        // The live idle-shed: an idle, unpressured pool
-                        // that still cannot hold the front can never
-                        // hold it — shed it and keep going.
-                        if running.is_empty()
-                            && newly_admitted.is_empty()
-                            && reserved == 0
-                            && pressure.is_none()
-                        {
-                            ready.pop_front();
-                            requests[idx].state = RequestState::Rejected;
-                            rejected += 1;
-                            continue 'admit;
-                        }
-                        starved = true;
-                        break;
-                    }
-                    if alloc.admit(requests[idx].id, max_context).is_err() {
-                        starved = true;
-                        break;
-                    }
-                    if alloc
-                        .append(requests[idx].id, requests[idx].prompt_tokens)
-                        .is_err()
-                    {
-                        alloc.release(requests[idx].id);
-                        starved = true;
-                        break;
-                    }
-                    ready.pop_front();
-                    requests[idx].output_tokens = out;
-                    reserved += c;
-                    cost_of[idx] = c;
-                    next_seq += 1;
-                    seq_of[idx] = next_seq;
-                    newly_admitted.push((idx, requests[idx].prompt_tokens));
-                }
-            }
-            if !newly_admitted.is_empty() {
-                if self.chunk_budget.is_some() {
-                    for (idx, cold) in newly_admitted {
-                        prefilling.push_back((idx, cold));
-                    }
-                } else {
-                    let k = newly_admitted.len() as u32;
-                    let mean_prompt = (newly_admitted
-                        .iter()
-                        .map(|&(_, prefill)| u64::from(prefill))
-                        .sum::<u64>()
-                        / u64::from(k)) as u32;
-                    now += perf.prefill_time(k, mean_prompt.max(1));
-                    for (idx, _) in newly_admitted {
-                        requests[idx].state = RequestState::Decoding;
-                        running.push(idx);
-                    }
-                }
-            }
-
-            // --- One prefill chunk per scheduler step (chunked mode) ---
-            if let Some(budget) = self.chunk_budget {
-                if let Some((idx, remaining)) = prefilling.front_mut() {
-                    let take = (*remaining).min(budget).max(1);
-                    now += perf.prefill_time(1, take);
-                    prefill_chunks += 1;
-                    *remaining = remaining.saturating_sub(take);
-                    if *remaining == 0 {
-                        let idx = *idx;
-                        prefilling.pop_front();
-                        requests[idx].state = RequestState::Decoding;
-                        running.push(idx);
-                    }
-                }
-            }
-
-            if running.is_empty() {
-                if !prefilling.is_empty() {
-                    continue;
-                }
-                if let Some(&idx) = pending.front() {
-                    // Intake drained everything arrived, so the front's
-                    // arrival is in the future: jump to it.
-                    now = Seconds(now.value().max(requests[idx].arrival.value()));
-                    continue;
-                }
-                match ready.front() {
-                    Some(&idx) => {
-                        // Arrived work an idle pool still cannot admit
-                        // (pressure window or fragmentation): shed it
-                        // to guarantee progress, like the base loop.
-                        ready.pop_front();
-                        requests[idx].state = RequestState::Rejected;
-                        rejected += 1;
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-
-            // --- One decode step ---
-            let batch = running.len() as u32;
-            let ctx_avg = (running
-                .iter()
-                .map(|&i| u64::from(requests[i].context()))
-                .sum::<u64>()
-                / u64::from(batch)) as u32;
-            now += perf.decode_step_time(batch, ctx_avg);
-            decode_steps += 1;
-            occupancy_acc += f64::from(batch);
-
-            // Reservation makes appends infallible; a failure is the
-            // accounting bug the live runtime fails per-request.
-            let mut i = 0;
-            while i < running.len() {
-                let idx = running[i];
-                let id = requests[idx].id;
-                match alloc.append(id, 1) {
-                    Ok(()) => {
-                        let r = &mut requests[idx];
-                        r.generated += 1;
-                        if r.first_token_at.is_none() {
-                            r.first_token_at = Some(now);
-                        }
-                        i += 1;
-                    }
-                    Err(_) => {
-                        running.swap_remove(i);
-                        let r = &mut requests[idx];
-                        alloc.release(r.id);
-                        reserved -= cost_of[idx];
-                        r.state = RequestState::Failed;
-                        failed += 1;
-                    }
-                }
-            }
-
-            peak_util = peak_util.max(alloc.stats().utilization());
-            // One starvation sample per completed decode step — the
-            // shared ladder both backends drive identically.
-            brownout.observe_step(starved);
-
-            // --- Completions ---
-            running.retain(|&idx| {
-                let r = &mut requests[idx];
-                if r.generated >= r.output_tokens {
-                    r.state = RequestState::Finished;
-                    r.finished_at = Some(now);
-                    alloc.release(r.id);
-                    reserved -= cost_of[idx];
-                    completed += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-
-        self.report(
-            &requests,
-            now,
-            decode_steps,
-            prefill_chunks,
-            occupancy_acc,
-            peak_util,
-            preemptions,
-            rejected,
-            FaultTally {
-                failed,
-                retries,
-                faults_injected,
-            },
-            PrefixTally {
-                hits: 0,
-                saved_tokens: 0,
-            },
-            OverloadTally {
-                replayed_tokens,
-                brownout_steps: brownout.brownout_steps,
-                brownout_sheds: sheds,
-                per_class,
-            },
-        )
-    }
-
-    fn new_alloc(&self) -> Box<dyn KvAllocator> {
-        match self.config.kv_block_tokens {
-            Some(b) => Box::new(PagedAllocator::new(self.config.kv_capacity_tokens, b)),
-            None => Box::new(MonolithicAllocator::new(self.config.kv_capacity_tokens)),
-        }
-    }
-
-    /// Run `requests` across `replicas` independent copies of this
-    /// scheduler, mirroring the live `llmib-serve` `ReplicaPool`:
-    /// requests are dealt round-robin in arrival order (the share the
-    /// live router's cursor hands each replica), each replica replays
-    /// its own [`ReplicaFaultPlan::plan_for`] slice on its own step
-    /// clock, and a replica lost to [`FaultKind::SchedulerPanic`] fails
-    /// over — its outstanding requests migrate to surviving replicas
-    /// with their generated tokens folded into the prompt as a replayed
-    /// prefill prefix, exactly the accounting the live pool reports.
+    /// * **Deal.** Requests are dealt round-robin in arrival order over
+    ///   the prefill-capable replicas (the share the live router's
+    ///   cursor hands each one).
+    /// * **Handoff.** A sequence that produces its first token on a
+    ///   replica that does not accept decode hands off: its generated
+    ///   prefix folds into a replay prefill on a decode-capable replica,
+    ///   the live router's cancel-intercept + prefix-replay handoff.
+    ///   Handoffs count in [`ReplicatedReport::disagg_handoffs`], never
+    ///   in `migrations`.
+    /// * **Failover.** A replica lost to [`FaultKind::SchedulerPanic`]
+    ///   re-deals its outstanding requests to survivors: a streaming
+    ///   flight to a decode-capable one, an unstreamed one to a
+    ///   prefill-capable one. Requests that had arrived by the death
+    ///   migrate with their generated tokens folded into the prompt;
+    ///   not-yet-arrived ones are re-dealt without counting (the live
+    ///   router never dispatched them). With no survivor they fail. A
+    ///   migrated request keeps its original arrival and the TTFT of
+    ///   its streamed prefix, so latency stays measured from first
+    ///   submission.
     ///
-    /// Requests assigned to the dead replica that had not yet arrived
-    /// are re-dealt without counting as migrations (the live router
-    /// never dispatched them). With no survivor left they fail. A
-    /// migrated request keeps its original arrival and the TTFT of its
-    /// already streamed prefix, so latency stays measured from first
-    /// submission — the same convention as the live pool's router.
-    pub fn run_replicated(
-        &self,
-        mut requests: Vec<Request>,
-        perf: &ResolvedScenario,
-        replicas: u32,
-        plan: &ReplicaFaultPlan,
-    ) -> ReplicatedReport {
-        assert!(replicas > 0, "need at least one replica");
-        requests.sort_by(|a, b| a.arrival.value().total_cmp(&b.arrival.value()));
-        let mut reps: Vec<Rep> = (0..replicas)
-            .map(|r| Rep {
-                plan: plan.plan_for(llmib_types::ReplicaId(r)),
-                alloc: self.new_alloc(),
-                queue: VecDeque::new(),
-                running: Vec::new(),
-                now: Seconds::ZERO,
-                decode_steps: 0,
-                next_event: 0,
-                poisoned: Vec::new(),
-                pressure: None,
-                dead: false,
-                completed: 0,
-            })
-            .collect();
-        for i in 0..requests.len() {
-            reps[i % replicas as usize].queue.push_back(i);
-        }
-
-        let retry = RetryPolicy::default();
-        let mut tally = PoolTally::default();
-        let mut failovers = 0u32;
-        let mut migrations = 0u32;
-        let mut migrated_tokens = 0u64;
-        let mut rr = 0usize;
-
-        // Advance the live replica with work whose clock is furthest
-        // behind — a deterministic merge of the per-replica event
-        // streams.
-        while let Some(r) = (0..reps.len())
-            .filter(|&i| !reps[i].dead && reps[i].has_work())
-            .min_by(|&a, &b| reps[a].now.value().total_cmp(&reps[b].now.value()))
-        {
-            let ReplicaEvent::Died(outstanding) =
-                self.advance_replica(&mut reps[r], &mut requests, perf, &retry, &mut tally)
-            else {
-                continue;
-            };
-            failovers += 1;
-            let dead_now = reps[r].now;
-            for idx in outstanding {
-                let req = &mut requests[idx];
-                if req.arrival.value() <= dead_now.value() {
-                    // Dispatched before the death: fail over with a
-                    // prefix replay of the tokens already produced.
-                    migrations += 1;
-                    migrated_tokens += u64::from(req.generated);
-                    req.prompt_tokens += req.generated;
-                    req.output_tokens -= req.generated;
-                    req.generated = 0;
-                }
-                req.state = RequestState::Queued;
-                let survivor = (0..reps.len())
-                    .map(|_| {
-                        let t = rr % reps.len();
-                        rr += 1;
-                        t
-                    })
-                    .find(|&t| !reps[t].dead);
-                match survivor {
-                    Some(t) => insert_by_arrival(&mut reps[t].queue, idx, &requests),
-                    None => {
-                        requests[idx].state = RequestState::Failed;
-                        tally.failed += 1;
-                    }
-                }
-            }
-        }
-
-        let makespan = reps
-            .iter()
-            .map(|rep| rep.now)
-            .fold(Seconds::ZERO, |a, b| Seconds(a.value().max(b.value())));
-        let decode_steps: u64 = reps.iter().map(|rep| rep.decode_steps).sum();
-        let aggregate = self.report(
-            &requests,
-            makespan,
-            decode_steps,
-            0,
-            tally.occupancy_acc,
-            tally.peak_util,
-            tally.preemptions,
-            tally.rejected,
-            FaultTally {
-                failed: tally.failed,
-                retries: tally.retries,
-                faults_injected: tally.faults_injected,
-            },
-            PrefixTally {
-                hits: tally.prefix_hits,
-                saved_tokens: tally.saved_prefill_tokens,
-            },
-            OverloadTally::default(),
-        );
-        ReplicatedReport {
-            aggregate,
-            failovers,
-            migrations,
-            migrated_tokens,
-            disagg_handoffs: 0,
-            per_replica_completed: reps.iter().map(|rep| rep.completed).collect(),
-        }
-    }
-
-    /// Disaggregated prefill/decode mirror of
-    /// [`ServingSimulator::run_replicated`]: `roles[i]` assigns
-    /// replica `i` its phase. Admissions are dealt round-robin over
-    /// prefill-capable replicas; when a request produces its first
-    /// token on a replica that does not accept decode, it hands off —
-    /// the generated prefix folds into a replay prefill on a
-    /// decode-capable replica, exactly the cancel-intercept +
-    /// prefix-replay handoff the live router performs at the phase
-    /// boundary. Handoffs count in
-    /// [`ReplicatedReport::disagg_handoffs`], never in `migrations`
-    /// (those remain failure-driven). A failover re-deals a streaming
-    /// flight to decode-capable survivors and an undispatched one to
-    /// prefill-capable survivors, the router's phase-aware placement.
-    pub fn run_disaggregated(
+    /// With every role [`ReplicaRole::Unified`] there are no handoffs
+    /// and every live replica is a failover target.
+    pub fn run_pool(
         &self,
         mut requests: Vec<Request>,
         perf: &ResolvedScenario,
         roles: &[ReplicaRole],
         plan: &ReplicaFaultPlan,
     ) -> ReplicatedReport {
-        assert!(!roles.is_empty(), "need at least one replica");
         assert!(
             roles.iter().any(|r| r.accepts_prefill()),
             "need a prefill-capable replica"
@@ -1271,180 +441,132 @@ impl ServingSimulator {
             "need a decode-capable replica"
         );
         requests.sort_by(|a, b| a.arrival.value().total_cmp(&b.arrival.value()));
-        let replicas = roles.len();
-        let mut reps: Vec<Rep> = (0..replicas as u32)
+        let n = requests.len();
+        let mut f = Flights {
+            requests,
+            cost_of: vec![0; n],
+            seq_of: vec![0; n],
+            next_seq: 0,
+            replay: vec![false; n],
+            tally: Tally::default(),
+        };
+        let brownout = self.overload.map(|o| o.brownout).unwrap_or_default();
+        let mut reps: Vec<Rep> = (0..roles.len() as u32)
             .map(|r| Rep {
-                plan: plan.plan_for(llmib_types::ReplicaId(r)),
-                alloc: self.new_alloc(),
-                queue: VecDeque::new(),
-                running: Vec::new(),
                 now: Seconds::ZERO,
                 decode_steps: 0,
+                alloc: self.new_alloc(),
+                queue: VecDeque::new(),
+                ready: VecDeque::new(),
+                prefilling: VecDeque::new(),
+                running: Vec::new(),
+                plan: plan.plan_for(ReplicaId(r)),
                 next_event: 0,
                 poisoned: Vec::new(),
                 pressure: None,
+                reserved: 0,
+                brownout: BrownoutController::new(brownout),
                 dead: false,
                 completed: 0,
             })
             .collect();
-        let prefill_reps: Vec<usize> = (0..replicas)
+        let prefill_reps: Vec<usize> = (0..roles.len())
             .filter(|&i| roles[i].accepts_prefill())
             .collect();
-        for (j, i) in (0..requests.len()).enumerate() {
-            let target = prefill_reps[j % prefill_reps.len()];
-            reps[target].queue.push_back(i);
+        for idx in 0..n {
+            reps[prefill_reps[idx % prefill_reps.len()]]
+                .queue
+                .push_back(idx);
         }
 
-        let retry = RetryPolicy::default();
-        let mut tally = PoolTally::default();
-        let mut failovers = 0u32;
-        let mut migrations = 0u32;
-        let mut migrated_tokens = 0u64;
-        let mut disagg_handoffs = 0u32;
-        let mut rr = 0usize;
-        // Deterministic cursor for phase-boundary handoff targets.
-        let mut decode_rr = 0usize;
-
+        // Deterministic cursors for failover and handoff targets.
+        let mut failover_rr = 0usize;
+        let mut handoff_rr = 0usize;
         while let Some(r) = (0..reps.len())
             .filter(|&i| !reps[i].dead && reps[i].has_work())
             .min_by(|&a, &b| reps[a].now.value().total_cmp(&reps[b].now.value()))
         {
-            match self.advance_replica(&mut reps[r], &mut requests, perf, &retry, &mut tally) {
-                ReplicaEvent::Died(outstanding) => {
-                    failovers += 1;
-                    let dead_now = reps[r].now;
-                    for idx in outstanding {
-                        let req = &mut requests[idx];
-                        let streamed = req.generated > 0;
-                        if req.arrival.value() <= dead_now.value() {
-                            migrations += 1;
-                            migrated_tokens += u64::from(req.generated);
-                            req.prompt_tokens += req.generated;
-                            req.output_tokens -= req.generated;
-                            req.generated = 0;
+            if let Some(outstanding) = self.step(&mut reps[r], &mut f, perf) {
+                f.tally.failovers += 1;
+                let dead_now = reps[r].now;
+                for idx in outstanding {
+                    let req = &mut f.requests[idx];
+                    let streamed = req.generated > 0;
+                    if req.arrival.value() <= dead_now.value() {
+                        f.tally.migrations += 1;
+                        f.tally.migrated_tokens += u64::from(fold_into_prompt(req));
+                    }
+                    req.state = RequestState::Queued;
+                    let survivor = next_replica(&reps, &mut failover_rr, |t| {
+                        if streamed {
+                            roles[t].accepts_decode()
+                        } else {
+                            roles[t].accepts_prefill()
                         }
-                        req.state = RequestState::Queued;
-                        // A streaming flight needs a decode-capable
-                        // survivor; an unstreamed one re-prefills.
-                        let survivor = (0..reps.len())
-                            .map(|_| {
-                                let t = rr % reps.len();
-                                rr += 1;
-                                t
-                            })
-                            .find(|&t| {
-                                !reps[t].dead
-                                    && if streamed {
-                                        roles[t].accepts_decode()
-                                    } else {
-                                        roles[t].accepts_prefill()
-                                    }
-                            });
-                        match survivor {
-                            Some(t) => insert_by_arrival(&mut reps[t].queue, idx, &requests),
-                            None => {
-                                requests[idx].state = RequestState::Failed;
-                                tally.failed += 1;
-                            }
-                        }
+                    });
+                    match survivor {
+                        Some(t) => insert_by_arrival(&mut reps[t].queue, idx, &f.requests),
+                        None => f.fail(idx),
                     }
                 }
-                _ => {
-                    // Phase boundary: a sequence that produced its first
-                    // token on a prefill-only replica hands off now.
-                    if !roles[r].accepts_decode() {
-                        let mut i = 0;
-                        while i < reps[r].running.len() {
-                            let idx = reps[r].running[i];
-                            if requests[idx].generated == 0 {
-                                i += 1;
-                                continue;
-                            }
-                            reps[r].running.swap_remove(i);
-                            let req = &mut requests[idx];
-                            reps[r].alloc.release(req.id);
-                            req.prompt_tokens += req.generated;
-                            req.output_tokens -= req.generated;
-                            req.generated = 0;
-                            req.state = RequestState::Queued;
-                            let target = (0..reps.len())
-                                .map(|_| {
-                                    let t = decode_rr % reps.len();
-                                    decode_rr += 1;
-                                    t
-                                })
-                                .find(|&t| !reps[t].dead && roles[t].accepts_decode());
-                            match target {
-                                Some(t) => {
-                                    disagg_handoffs += 1;
-                                    insert_by_arrival(&mut reps[t].queue, idx, &requests);
-                                }
-                                None => {
-                                    requests[idx].state = RequestState::Failed;
-                                    tally.failed += 1;
-                                }
-                            }
+            } else if !roles[r].accepts_decode() {
+                // Phase boundary: a sequence that produced its first
+                // token on a prefill-only replica hands off now.
+                let mut i = 0;
+                while i < reps[r].running.len() {
+                    let idx = reps[r].running[i];
+                    if f.requests[idx].generated == 0 {
+                        i += 1;
+                        continue;
+                    }
+                    reps[r].running.swap_remove(i);
+                    reps[r].release(&f, idx);
+                    fold_into_prompt(&mut f.requests[idx]);
+                    match next_replica(&reps, &mut handoff_rr, |t| roles[t].accepts_decode()) {
+                        Some(t) => {
+                            f.tally.disagg_handoffs += 1;
+                            insert_by_arrival(&mut reps[t].queue, idx, &f.requests);
                         }
+                        None => f.fail(idx),
                     }
                 }
             }
         }
 
-        let makespan = reps
-            .iter()
-            .map(|rep| rep.now)
-            .fold(Seconds::ZERO, |a, b| Seconds(a.value().max(b.value())));
-        let decode_steps: u64 = reps.iter().map(|rep| rep.decode_steps).sum();
-        let aggregate = self.report(
-            &requests,
-            makespan,
-            decode_steps,
-            0,
-            tally.occupancy_acc,
-            tally.peak_util,
-            tally.preemptions,
-            tally.rejected,
-            FaultTally {
-                failed: tally.failed,
-                retries: tally.retries,
-                faults_injected: tally.faults_injected,
-            },
-            PrefixTally {
-                hits: tally.prefix_hits,
-                saved_tokens: tally.saved_prefill_tokens,
-            },
-            OverloadTally::default(),
-        );
+        let aggregate = self.report(&f.requests, &reps, &f.tally);
         ReplicatedReport {
             aggregate,
-            failovers,
-            migrations,
-            migrated_tokens,
-            disagg_handoffs,
+            failovers: f.tally.failovers,
+            migrations: f.tally.migrations,
+            migrated_tokens: f.tally.migrated_tokens,
+            disagg_handoffs: f.tally.disagg_handoffs,
             per_replica_completed: reps.iter().map(|rep| rep.completed).collect(),
         }
     }
 
-    /// One iteration of the serving loop for a single replica: activate
-    /// due faults, evict poison victims, admit, then run one decode
-    /// step. The body mirrors [`ServingSimulator::run_with_faults`]
-    /// with replica-local state, except that `first_token_at` is only
-    /// set when absent so a migrated request keeps the TTFT of its
-    /// replayed prefix.
-    fn advance_replica(
-        &self,
-        rep: &mut Rep,
-        requests: &mut [Request],
-        perf: &ResolvedScenario,
-        retry: &RetryPolicy,
-        tally: &mut PoolTally,
-    ) -> ReplicaEvent {
-        // --- Fault activation (this replica's plan, its own clock) ---
-        while let Some(ev) = rep.plan.events().get(rep.next_event) {
+    fn new_alloc(&self) -> Box<dyn KvAllocator> {
+        match self.config.kv_block_tokens {
+            Some(b) => Box::new(PagedAllocator::new(self.config.kv_capacity_tokens, b)),
+            None => Box::new(MonolithicAllocator::new(self.config.kv_capacity_tokens)),
+        }
+    }
+
+    /// One scheduler iteration of one replica, in phase order: fault
+    /// activation → poison eviction → admission (with intake) → at most
+    /// one prefill chunk → idle handling → one decode step →
+    /// completions. Only admission and a failed decode append depend on
+    /// whether overload mode is on. Returns every outstanding request
+    /// if a planned scheduler panic killed the replica.
+    fn step(&self, rep: &mut Rep, f: &mut Flights, perf: &ResolvedScenario) -> Option<Vec<usize>> {
+        // --- Fault activation (this replica's plan, its own step clock;
+        //     before intake, so a stall's clock advance makes arrivals
+        //     visible like the live scheduler's pending stall) ---
+        let retry = RetryPolicy::default();
+        while let Some(&ev) = rep.plan.events().get(rep.next_event) {
             if ev.at_step > rep.decode_steps {
                 break;
             }
-            tally.faults_injected += 1;
+            f.tally.faults_injected += 1;
             rep.next_event += 1;
             match ev.kind {
                 FaultKind::StepStall { extra } => {
@@ -1452,16 +574,16 @@ impl ServingSimulator {
                 }
                 FaultKind::TransientStepError { failures } => {
                     if failures > retry.max_retries {
-                        for idx in rep.running.drain(..) {
-                            let r = &mut requests[idx];
-                            rep.alloc.release(r.id);
-                            r.state = RequestState::Failed;
-                            tally.failed += 1;
+                        // The live supervisor exhausts its retry budget
+                        // and fails the whole stuck batch.
+                        for idx in std::mem::take(&mut rep.running) {
+                            rep.release(f, idx);
+                            f.fail(idx);
                         }
                     } else {
                         for attempt in 1..=failures {
                             rep.now += retry.backoff(attempt, rep.plan.seed ^ rep.decode_steps);
-                            tally.retries += 1;
+                            f.tally.retries += 1;
                         }
                     }
                 }
@@ -1471,124 +593,107 @@ impl ServingSimulator {
                     steps,
                 } => rep.pressure = Some((capacity_factor.clamp(0.01, 1.0), steps.max(1))),
                 FaultKind::SchedulerPanic => {
+                    // The ledger and pool die with the scheduler.
                     rep.dead = true;
-                    for &idx in &rep.running {
-                        rep.alloc.release(requests[idx].id);
-                    }
-                    let outstanding: Vec<usize> =
-                        rep.queue.drain(..).chain(rep.running.drain(..)).collect();
-                    return ReplicaEvent::Died(outstanding);
+                    let prefilling = rep.prefilling.drain(..).map(|(idx, _)| idx);
+                    return Some(
+                        rep.queue
+                            .drain(..)
+                            .chain(rep.ready.drain(..))
+                            .chain(prefilling)
+                            .chain(rep.running.drain(..))
+                            .collect(),
+                    );
                 }
             }
         }
-        // --- Poison eviction ---
+
+        // --- Poison eviction: victims die once (and only once they are
+        //     decoding — a poisoned pending sequence surfaces after its
+        //     prefill completes, like the live injector) ---
         if !rep.poisoned.is_empty() {
             let mut i = 0;
             while i < rep.running.len() {
-                let id = requests[rep.running[i]].id;
-                if let Some(pos) = rep.poisoned.iter().position(|&p| p == id) {
+                let idx = rep.running[i];
+                if let Some(pos) = rep.poisoned.iter().position(|&p| p == f.requests[idx].id) {
                     rep.poisoned.swap_remove(pos);
-                    let idx = rep.running.swap_remove(i);
-                    let r = &mut requests[idx];
-                    rep.alloc.release(r.id);
-                    r.state = RequestState::Failed;
-                    tally.failed += 1;
+                    rep.running.swap_remove(i);
+                    rep.release(f, idx);
+                    f.fail(idx);
                 } else {
                     i += 1;
                 }
             }
         }
+
         // --- Admission ---
         let may_admit = match self.config.policy {
             BatchingPolicy::Continuous => true,
             BatchingPolicy::Static => rep.running.is_empty(),
         };
-        let mut newly_admitted: Vec<(usize, u32)> = Vec::new();
-        if may_admit {
-            while rep.running.len() + newly_admitted.len() < self.config.max_concurrency as usize {
-                let Some(&idx) = rep.queue.front() else { break };
-                if requests[idx].arrival.value() > rep.now.value() {
-                    break;
+        let (admitted, starved) = match &self.overload {
+            None if may_admit => (self.admit_fifo(rep, f), false),
+            None => (Vec::new(), false),
+            Some(overload) => self.admit_reserved(rep, f, overload, may_admit),
+        };
+        if !admitted.is_empty() {
+            if self.chunk_budget.is_some() {
+                // Chunked mode: no prefill time is charged at admission
+                // — the sequence queues cold and drains below, one
+                // chunk per step.
+                rep.prefilling.extend(admitted);
+            } else {
+                let k = admitted.len() as u32;
+                let mean_prompt = (admitted
+                    .iter()
+                    .map(|&(_, prefill)| u64::from(prefill))
+                    .sum::<u64>()
+                    / u64::from(k)) as u32;
+                rep.now += perf.prefill_time(k, mean_prompt.max(1));
+                for (idx, _) in admitted {
+                    f.requests[idx].state = RequestState::Decoding;
+                    rep.running.push(idx);
                 }
-                if let Some((factor, _)) = rep.pressure {
-                    if rep.alloc.stats().utilization() >= factor {
-                        break;
-                    }
-                }
-                let req = &requests[idx];
-                if !rep.alloc.can_admit(req.max_context()) {
-                    break;
-                }
-                // Prefix-cache model, replica-local: each replica has its
-                // own pool and trie, so residency never crosses replicas —
-                // exactly like the live `ReplicaPool`.
-                let aligned = match self.config.kv_block_tokens {
-                    Some(bt) if req.shared_prefix_tokens > 0 => aligned_prefix(req, bt),
-                    _ => 0,
-                };
-                let key = u64::from(req.shared_prefix_tokens);
-                let cached = if aligned > 0 && rep.alloc.shared_resident(key) {
-                    aligned
-                } else {
-                    0
-                };
-                if rep.alloc.admit(req.id, req.max_context()).is_err() {
-                    break;
-                }
-                if aligned > 0
-                    && cached == 0
-                    && rep.alloc.acquire_shared(key, u64::from(aligned)).is_err()
-                {
-                    rep.alloc.release(req.id);
-                    break;
-                }
-                if rep
-                    .alloc
-                    .append(req.id, req.prompt_tokens - aligned)
-                    .is_err()
-                {
-                    rep.alloc.release(req.id);
-                    break;
-                }
-                if cached > 0 {
-                    tally.prefix_hits += 1;
-                    tally.saved_prefill_tokens += u64::from(cached);
-                }
-                rep.queue.pop_front();
-                newly_admitted.push((idx, req.prompt_tokens - cached));
-            }
-        }
-        if !newly_admitted.is_empty() {
-            let k = newly_admitted.len() as u32;
-            let mean_prompt = (newly_admitted
-                .iter()
-                .map(|&(_, prefill)| u64::from(prefill))
-                .sum::<u64>()
-                / u64::from(k)) as u32;
-            rep.now += perf.prefill_time(k, mean_prompt.max(1));
-            for (idx, _) in newly_admitted {
-                requests[idx].state = RequestState::Decoding;
-                rep.running.push(idx);
             }
         }
 
-        if rep.running.is_empty() {
-            return match rep.queue.front() {
-                Some(&idx) => {
-                    let arr = requests[idx].arrival;
-                    if arr.value() > rep.now.value() {
-                        rep.now = arr;
-                    } else {
-                        // Waiting work an idle pool still cannot hold:
-                        // shed it, like the single-replica loop.
-                        rep.queue.pop_front();
-                        requests[idx].state = RequestState::Rejected;
-                        tally.rejected += 1;
-                    }
-                    ReplicaEvent::Progressed
+        // --- At most one token-budgeted chunk of the head pending
+        //     sequence, interleaved with the decode step below — the
+        //     live scheduler-loop policy mirrored ---
+        if let Some(budget) = self.chunk_budget {
+            if let Some((idx, remaining)) = rep.prefilling.front_mut() {
+                let take = (*remaining).min(budget).max(1);
+                rep.now += perf.prefill_time(1, take);
+                f.tally.prefill_chunks += 1;
+                *remaining = remaining.saturating_sub(take);
+                if *remaining == 0 {
+                    let idx = *idx;
+                    rep.prefilling.pop_front();
+                    f.requests[idx].state = RequestState::Decoding;
+                    rep.running.push(idx);
                 }
-                None => ReplicaEvent::Idle,
-            };
+            }
+        }
+
+        // --- Idle: nothing decodes. A chunk that just ran advanced the
+        //     clock, so keep draining; otherwise jump to the next
+        //     arrival, or shed arrived work an idle pool still cannot
+        //     hold (it never will: a serving system must shed it and
+        //     keep going, like the live runtime) ---
+        if rep.running.is_empty() {
+            if rep.prefilling.is_empty() {
+                match rep.queue.front() {
+                    Some(&idx) if f.requests[idx].arrival.value() > rep.now.value() => {
+                        rep.now = f.requests[idx].arrival;
+                    }
+                    _ => {
+                        if let Some(idx) = rep.ready.pop_front().or_else(|| rep.queue.pop_front()) {
+                            f.reject(idx);
+                        }
+                    }
+                }
+            }
+            return None;
         }
 
         // --- One decode step ---
@@ -1596,90 +701,295 @@ impl ServingSimulator {
         let ctx_avg = (rep
             .running
             .iter()
-            .map(|&i| u64::from(requests[i].context()))
+            .map(|&i| u64::from(f.requests[i].context()))
             .sum::<u64>()
             / u64::from(batch)) as u32;
         rep.now += perf.decode_step_time(batch, ctx_avg);
         rep.decode_steps += 1;
-        tally.occupancy_acc += f64::from(batch);
+        f.tally.occupancy_acc += f64::from(batch);
 
         let mut i = 0;
         while i < rep.running.len() {
             let idx = rep.running[i];
-            let id = requests[idx].id;
-            match rep.alloc.append(id, 1) {
-                Ok(()) => {
-                    let r = &mut requests[idx];
-                    r.generated += 1;
-                    if r.first_token_at.is_none() {
-                        r.first_token_at = Some(rep.now);
-                    }
-                    i += 1;
+            if rep.alloc.append(f.requests[idx].id, 1).is_ok() {
+                let r = &mut f.requests[idx];
+                r.generated += 1;
+                // Only when absent: a migrated or replayed request keeps
+                // the TTFT of its streamed prefix.
+                if r.first_token_at.is_none() {
+                    r.first_token_at = Some(rep.now);
                 }
-                Err(_) => {
-                    let victim_pos = rep.running.len() - 1;
-                    let victim_idx = rep.running.swap_remove(victim_pos);
-                    let v = &mut requests[victim_idx];
-                    rep.alloc.release(v.id);
-                    if rep.running.is_empty() && victim_idx == idx {
-                        v.state = RequestState::Rejected;
-                        tally.rejected += 1;
-                        continue;
-                    }
-                    v.state = RequestState::Queued;
-                    v.generated = 0;
-                    v.first_token_at = None;
-                    rep.queue.push_front(victim_idx);
-                    tally.preemptions += 1;
-                    if victim_idx == idx {
-                        continue;
-                    }
+                i += 1;
+            } else if self.overload.is_some() {
+                // Reservation makes appends infallible; a failure is the
+                // accounting bug the live runtime fails per request.
+                rep.running.swap_remove(i);
+                rep.release(f, idx);
+                f.fail(idx);
+            } else {
+                // Pool exhausted: preempt the most recently admitted
+                // sequence (vLLM recompute-style) and retry the append.
+                let victim = rep.running.pop().expect("running is non-empty");
+                rep.release(f, victim);
+                if rep.running.is_empty() && victim == idx {
+                    // It had the whole pool to itself and still ran
+                    // out: it can never finish, and requeueing would
+                    // preempt-loop forever. Shed it.
+                    f.reject(victim);
+                    continue;
                 }
+                let v = &mut f.requests[victim];
+                v.state = RequestState::Queued;
+                v.generated = 0;
+                v.first_token_at = None;
+                rep.queue.push_front(victim);
+                f.tally.preemptions += 1;
             }
         }
 
-        tally.peak_util = tally.peak_util.max(rep.alloc.stats().utilization());
+        f.tally.peak_util = f.tally.peak_util.max(rep.alloc.stats().utilization());
+        // One starvation sample per completed decode step — the shared
+        // ladder both backends drive identically.
+        rep.brownout.observe_step(starved);
 
         // --- Completions ---
-        let alloc = &mut rep.alloc;
-        let completed = &mut rep.completed;
-        let now = rep.now;
-        rep.running.retain(|&idx| {
-            let r = &mut requests[idx];
-            if r.generated >= r.output_tokens {
-                r.state = RequestState::Finished;
-                r.finished_at = Some(now);
-                alloc.release(r.id);
-                *completed += 1;
-                false
-            } else {
-                true
-            }
-        });
-        ReplicaEvent::Progressed
+        let (done, running): (Vec<usize>, Vec<usize>) = std::mem::take(&mut rep.running)
+            .into_iter()
+            .partition(|&idx| f.requests[idx].generated >= f.requests[idx].output_tokens);
+        rep.running = running;
+        for idx in done {
+            rep.release(f, idx);
+            let r = &mut f.requests[idx];
+            r.state = RequestState::Finished;
+            r.finished_at = Some(rep.now);
+            rep.completed += 1;
+        }
+        None
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn report(
+    /// Lazy-append FIFO admission: admit the arrived queue front while
+    /// the concurrency cap, the pool and any pressure window allow,
+    /// charging only the prompt (minus a prefix-cache hit) upfront.
+    /// Returns each admission with its cold prefill tokens.
+    fn admit_fifo(&self, rep: &mut Rep, f: &mut Flights) -> Vec<(usize, u32)> {
+        let mut admitted = Vec::new();
+        // Pending (still-prefilling) sequences count against the
+        // concurrency cap, exactly like the live scheduler.
+        while rep.running.len() + rep.prefilling.len() + admitted.len()
+            < self.config.max_concurrency as usize
+        {
+            let Some(&idx) = rep.queue.front() else { break };
+            let req = &f.requests[idx];
+            if req.arrival.value() > rep.now.value() {
+                break;
+            }
+            // Under a memory-pressure window the pool is temporarily
+            // shrunk: hold admissions that would push utilization past
+            // the factor (existing sequences are unaffected, exactly
+            // like the live KvBudget).
+            if let Some((factor, _)) = rep.pressure {
+                if rep.alloc.stats().utilization() >= factor {
+                    break;
+                }
+            }
+            if !rep.alloc.can_admit(req.max_context()) {
+                break;
+            }
+            // Prefix-cache model (paged pools only, mirroring the live
+            // engine's block trie, one trie per replica): the
+            // block-aligned shared prefix lives in the shared ledger,
+            // charged once. The first sharer is cold — it prefills
+            // everything and makes the prefix resident; later sharers
+            // skip it.
+            let aligned = match self.config.kv_block_tokens {
+                Some(bt) if req.shared_prefix_tokens > 0 => aligned_prefix(req, bt),
+                _ => 0,
+            };
+            let key = u64::from(req.shared_prefix_tokens);
+            let cached = if aligned > 0 && rep.alloc.shared_resident(key) {
+                aligned
+            } else {
+                0
+            };
+            if rep.alloc.admit(req.id, req.max_context()).is_err() {
+                break;
+            }
+            if aligned > 0
+                && cached == 0
+                && rep.alloc.acquire_shared(key, u64::from(aligned)).is_err()
+            {
+                rep.alloc.release(req.id);
+                break;
+            }
+            // Prefill KV lands immediately on admission; the shared
+            // part is already accounted in the ledger.
+            if rep
+                .alloc
+                .append(req.id, req.prompt_tokens - aligned)
+                .is_err()
+            {
+                rep.alloc.release(req.id);
+                break;
+            }
+            if cached > 0 {
+                f.tally.prefix_hits += 1;
+                f.tally.saved_prefill_tokens += u64::from(cached);
+            }
+            rep.queue.pop_front();
+            admitted.push((idx, req.prompt_tokens - cached));
+        }
+        admitted
+    }
+
+    /// Overload admission, the live `Scheduler::admit` mirrored:
+    ///
+    /// * **intake** moves arrived requests into the priority-ordered
+    ///   ready queue, shedding any whose block-rounded maximum context
+    ///   exceeds the whole pool,
+    /// * brownout level 2 sheds queued best-effort first admissions,
+    /// * admission **reserves** the block-rounded maximum context
+    ///   upfront (the live `KvBudget` arithmetic), so mid-decode appends
+    ///   never fail,
+    /// * a reservation failure **preempts** the victim
+    ///   [`pick_victim`] names: its generated tokens fold into the
+    ///   prompt as a replay prefill and it re-enters the ready queue,
+    /// * brownout level 1 clamps best-effort budgets at first
+    ///   admission.
+    ///
+    /// Returns each admission with its prefill tokens, and whether an
+    /// arrived request starved for KV (the brownout ladder's signal).
+    fn admit_reserved(
         &self,
-        requests: &[Request],
-        makespan: Seconds,
-        decode_steps: u64,
-        prefill_chunks: u64,
-        occupancy_acc: f64,
-        peak_kv_utilization: f64,
-        preemptions: u32,
-        rejected: u32,
-        faults: FaultTally,
-        prefix: PrefixTally,
-        overload: OverloadTally,
-    ) -> ServingReport {
+        rep: &mut Rep,
+        f: &mut Flights,
+        overload: &OverloadConfig,
+        may_admit: bool,
+    ) -> (Vec<(usize, u32)>, bool) {
+        let block = u64::from(self.config.kv_block_tokens.unwrap_or(1).max(1));
+        let capacity = self.config.kv_capacity_tokens;
+        let cost = |max_context: u32| u64::from(max_context).div_ceil(block) * block;
+        while let Some(&idx) = rep.queue.front() {
+            if f.requests[idx].arrival.value() > rep.now.value() {
+                break;
+            }
+            rep.queue.pop_front();
+            if cost(f.requests[idx].max_context()) > capacity {
+                f.reject(idx);
+                continue;
+            }
+            insert_by_priority(&mut rep.ready, idx, |&q| f.requests[q].priority);
+        }
+        let mut admitted = Vec::new();
+        if !may_admit {
+            return (admitted, false);
+        }
+        if rep.brownout.level() >= BrownoutController::MAX_LEVEL {
+            // Replays are never shed: their streams must complete to
+            // stay bitwise comparable.
+            let (shed, keep): (VecDeque<usize>, VecDeque<usize>) =
+                rep.ready.iter().copied().partition(|&idx| {
+                    !f.replay[idx] && rep.brownout.should_shed(f.requests[idx].priority)
+                });
+            rep.ready = keep;
+            for idx in shed {
+                let r = &mut f.requests[idx];
+                r.state = RequestState::Rejected;
+                f.tally.per_class.shed[r.priority.index()] += 1;
+                f.tally.brownout_sheds += 1;
+            }
+        }
+        let mut starved = false;
+        while rep.running.len() + rep.prefilling.len() + admitted.len()
+            < self.config.max_concurrency as usize
+        {
+            let Some(&idx) = rep.ready.front() else { break };
+            let req = &f.requests[idx];
+            // The clamp applies only if the admission succeeds, like the
+            // live scheduler.
+            let out = if f.replay[idx] {
+                req.output_tokens
+            } else {
+                rep.brownout
+                    .clamp_max_new(req.priority, req.output_tokens as usize) as u32
+            };
+            let (id, prompt) = (req.id, req.prompt_tokens);
+            let max_context = prompt + out;
+            let c = cost(max_context);
+            let effective = match rep.pressure {
+                Some((factor, _)) => (capacity as f64 * factor).floor() as u64,
+                None => capacity,
+            };
+            if rep.reserved + c > effective || !rep.alloc.can_admit(max_context) {
+                let victim = overload
+                    .preemption
+                    .then(|| {
+                        pick_victim(rep.running.iter().enumerate(), req.priority, |&(_, &v)| {
+                            (f.requests[v].priority, f.seq_of[v])
+                        })
+                    })
+                    .flatten();
+                if let Some((pos, _)) = victim {
+                    let vidx = rep.running.swap_remove(pos);
+                    // Eviction for any reason cancels a pending poison —
+                    // the live injector's `evict` contract.
+                    rep.poisoned.retain(|&p| p != f.requests[vidx].id);
+                    rep.release(f, vidx);
+                    let v = &mut f.requests[vidx];
+                    let replayed = u64::from(fold_into_prompt(v));
+                    f.tally.preemptions += 1;
+                    f.tally.per_class.preemptions[v.priority.index()] += 1;
+                    f.tally.per_class.replayed_tokens[v.priority.index()] += replayed;
+                    f.tally.replayed_tokens += replayed;
+                    f.replay[vidx] = true;
+                    insert_by_priority(&mut rep.ready, vidx, |&q| f.requests[q].priority);
+                    continue;
+                }
+                // The live idle-shed: an idle, unpressured pool that
+                // still cannot hold the front can never hold it.
+                if rep.running.is_empty()
+                    && admitted.is_empty()
+                    && rep.reserved == 0
+                    && rep.pressure.is_none()
+                {
+                    rep.ready.pop_front();
+                    f.reject(idx);
+                    continue;
+                }
+                starved = true;
+                break;
+            }
+            if rep.alloc.admit(id, max_context).is_err() {
+                starved = true;
+                break;
+            }
+            if rep.alloc.append(id, prompt).is_err() {
+                rep.alloc.release(id);
+                starved = true;
+                break;
+            }
+            rep.ready.pop_front();
+            f.requests[idx].output_tokens = out;
+            rep.reserved += c;
+            f.cost_of[idx] = c;
+            f.next_seq += 1;
+            f.seq_of[idx] = f.next_seq;
+            admitted.push((idx, prompt));
+        }
+        (admitted, starved)
+    }
+
+    fn report(&self, requests: &[Request], reps: &[Rep], tally: &Tally) -> ServingReport {
+        let makespan = reps
+            .iter()
+            .map(|rep| rep.now)
+            .fold(Seconds::ZERO, |a, b| Seconds(a.value().max(b.value())));
+        let decode_steps: u64 = reps.iter().map(|rep| rep.decode_steps).sum();
         let finished: Vec<&Request> = requests
             .iter()
             .filter(|r| r.state == RequestState::Finished)
             .collect();
         let completed = finished.len() as u32;
-        let mut per_class = overload.per_class;
+        let mut per_class = tally.per_class;
         for r in &finished {
             per_class.completed[r.priority.index()] += 1;
         }
@@ -1691,29 +1001,31 @@ impl ServingSimulator {
             .iter()
             .filter_map(|r| r.latency().map(|s| s.value()))
             .collect();
-        let p95 = stats::p95(&latencies);
-        let mean = stats::mean;
         let ttfts: Vec<f64> = finished
             .iter()
             .filter_map(|r| r.ttft().map(|s| s.value()))
             .collect();
-        let itls: Vec<f64> = finished
+        // Eq. 1 per request, computed once: the mean and the percentile
+        // summary read the same observations.
+        let itl: Vec<(Priority, Option<Seconds>)> = finished
             .iter()
-            .filter_map(|r| {
-                let lat = r.latency()?.value();
-                let ttft = r.ttft()?.value();
-                (r.output_tokens > 1).then(|| (lat - ttft) / f64::from(r.output_tokens - 1))
+            .map(|r| {
+                let obs = r.latency().zip(r.ttft()).and_then(|(lat, ttft)| {
+                    (r.output_tokens > 1).then(|| {
+                        Seconds((lat.value() - ttft.value()) / f64::from(r.output_tokens - 1))
+                    })
+                });
+                (r.priority, obs)
             })
             .collect();
-        let itl = ItlSummary::from_observations(finished.iter().map(|r| {
-            let obs = (|| {
-                let lat = r.latency()?.value();
-                let ttft = r.ttft()?.value();
-                (r.output_tokens > 1)
-                    .then(|| Seconds((lat - ttft) / f64::from(r.output_tokens - 1)))
-            })();
-            (r.priority, obs)
-        }));
+        let itl_means: Vec<f64> = itl
+            .iter()
+            .filter_map(|&(_, obs)| obs)
+            .map(|s| s.value())
+            .collect();
+        let mut per_request: Vec<LatencySample> =
+            finished.iter().filter_map(|r| r.latency_sample()).collect();
+        per_request.sort_by_key(|s| s.id);
         ServingReport {
             completed,
             makespan,
@@ -1722,61 +1034,32 @@ impl ServingSimulator {
             } else {
                 0.0
             },
-            mean_ttft: Seconds(mean(&ttfts)),
-            p95_latency: Seconds(p95),
-            mean_itl: Seconds(mean(&itls)),
-            itl,
+            mean_ttft: Seconds(stats::mean(&ttfts)),
+            p95_latency: Seconds(stats::p95(&latencies)),
+            mean_itl: Seconds(stats::mean(&itl_means)),
+            itl: ItlSummary::from_observations(itl),
             mean_batch_occupancy: if decode_steps > 0 {
-                occupancy_acc / decode_steps as f64
+                tally.occupancy_acc / decode_steps as f64
             } else {
                 0.0
             },
-            peak_kv_utilization,
-            preemptions,
-            rejected,
+            peak_kv_utilization: tally.peak_util,
+            preemptions: tally.preemptions,
+            rejected: tally.rejected,
             decode_steps,
-            prefill_chunks,
-            failed: faults.failed,
-            retries: faults.retries,
-            faults_injected: faults.faults_injected,
-            prefix_hits: prefix.hits,
-            saved_prefill_tokens: prefix.saved_tokens,
-            replayed_tokens: overload.replayed_tokens,
-            brownout_steps: overload.brownout_steps,
-            brownout_sheds: overload.brownout_sheds,
+            prefill_chunks: tally.prefill_chunks,
+            failed: tally.failed,
+            retries: tally.retries,
+            faults_injected: tally.faults_injected,
+            prefix_hits: tally.prefix_hits,
+            saved_prefill_tokens: tally.saved_prefill_tokens,
+            replayed_tokens: tally.replayed_tokens,
+            brownout_steps: reps.iter().map(|rep| rep.brownout.brownout_steps).sum(),
+            brownout_sheds: tally.brownout_sheds,
             per_class,
-            per_request: {
-                let mut samples: Vec<LatencySample> =
-                    finished.iter().filter_map(|r| r.latency_sample()).collect();
-                samples.sort_by_key(|s| s.id);
-                samples
-            },
+            per_request,
         }
     }
-}
-
-/// Fault counters threaded from the serving loop into the report.
-struct FaultTally {
-    failed: u32,
-    retries: u32,
-    faults_injected: u32,
-}
-
-/// Prefix-cache counters threaded from the serving loop into the report.
-struct PrefixTally {
-    hits: u32,
-    saved_tokens: u64,
-}
-
-/// Overload-machinery counters threaded from the serving loop into the
-/// report (all zero outside overload mode; `per_class.completed` is
-/// filled by the report builder for every run).
-#[derive(Default)]
-struct OverloadTally {
-    replayed_tokens: u64,
-    brownout_steps: u64,
-    brownout_sheds: u32,
-    per_class: ClassCounters,
 }
 
 #[cfg(test)]
@@ -2045,7 +1328,12 @@ mod tests {
         use llmib_types::ReplicaFaultPlan;
         let reqs = ArrivalPattern::Burst.generate(12, 128, 16);
         let sim = ServingSimulator::new(config(BatchingPolicy::Continuous, 1 << 20, Some(16)));
-        let rep = sim.run_replicated(reqs, &perf(4), 3, &ReplicaFaultPlan::empty());
+        let rep = sim.run_pool(
+            reqs,
+            &perf(4),
+            &[ReplicaRole::Unified; 3],
+            &ReplicaFaultPlan::empty(),
+        );
         assert_eq!(rep.aggregate.completed, 12);
         assert_eq!(rep.failovers, 0);
         assert_eq!(rep.migrations, 0);
@@ -2061,7 +1349,7 @@ mod tests {
         let reqs = ArrivalPattern::Burst.generate(12, 128, 24);
         let sim = ServingSimulator::new(config(BatchingPolicy::Continuous, 1 << 20, Some(16)));
         let plan = ReplicaFaultPlan::kill_replica(ReplicaId(1), 6);
-        let rep = sim.run_replicated(reqs, &perf(4), 3, &plan);
+        let rep = sim.run_pool(reqs, &perf(4), &[ReplicaRole::Unified; 3], &plan);
         assert_eq!(rep.failovers, 1, "one replica dies");
         assert_eq!(
             rep.migrations, 4,
@@ -2097,7 +1385,7 @@ mod tests {
         let plan = ReplicaFaultPlan::empty()
             .with(ReplicaId(0), kill(3))
             .with(ReplicaId(1), kill(3));
-        let rep = sim.run_replicated(reqs, &perf(4), 2, &plan);
+        let rep = sim.run_pool(reqs, &perf(4), &[ReplicaRole::Unified; 2], &plan);
         assert_eq!(rep.failovers, 2);
         assert_eq!(rep.aggregate.completed, 0);
         assert_eq!(rep.aggregate.failed, 6, "no survivor: everything fails");
@@ -2111,7 +1399,7 @@ mod tests {
         let reqs = ArrivalPattern::Burst.generate(2, 128, 32);
         let sim = ServingSimulator::new(config(BatchingPolicy::Continuous, 1 << 20, Some(16)));
         let plan = ReplicaFaultPlan::kill_replica(ReplicaId(1), 4);
-        let rep = sim.run_replicated(reqs, &perf(1), 2, &plan);
+        let rep = sim.run_pool(reqs, &perf(1), &[ReplicaRole::Unified; 2], &plan);
         assert_eq!(rep.aggregate.completed, 2);
         assert_eq!(rep.migrations, 1);
         assert!(
@@ -2256,7 +1544,7 @@ mod tests {
     fn disaggregated_pool_hands_off_at_the_phase_boundary() {
         let reqs = ArrivalPattern::Burst.generate(10, 128, 8);
         let sim = ServingSimulator::new(config(BatchingPolicy::Continuous, 1 << 20, Some(16)));
-        let rep = sim.run_disaggregated(
+        let rep = sim.run_pool(
             reqs,
             &perf(4),
             &[ReplicaRole::Prefill, ReplicaRole::Decode],
@@ -2289,7 +1577,7 @@ mod tests {
         // Step 0: the plan fires on replica 0's first advance, before
         // it can run a decode step — its whole dealt share re-deals.
         let plan = ReplicaFaultPlan::kill_replica(ReplicaId(0), 0);
-        let rep = sim.run_disaggregated(reqs, &perf(4), &roles, &plan);
+        let rep = sim.run_pool(reqs, &perf(4), &roles, &plan);
         assert_eq!(rep.failovers, 1);
         assert_eq!(
             rep.aggregate.completed + rep.aggregate.failed,

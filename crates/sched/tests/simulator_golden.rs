@@ -220,12 +220,7 @@ fn scenarios() -> Vec<(&'static str, String)> {
     .generate(18, 128, 24);
     let unified = [ReplicaRole::Unified; 3];
     let pool = |roles: &[ReplicaRole], plan: &ReplicaFaultPlan| {
-        let rep = if roles.iter().all(|&r| r == ReplicaRole::Unified) {
-            paged(4096).run_replicated(pool_trace.clone(), &perf(4), roles.len() as u32, plan)
-        } else {
-            paged(4096).run_disaggregated(pool_trace.clone(), &perf(4), roles, plan)
-        };
-        json(&rep)
+        json(&paged(4096).run_pool(pool_trace.clone(), &perf(4), roles, plan))
     };
     out.push((
         "pool_unified3_healthy",

@@ -37,7 +37,7 @@ use crate::report::{
     OverloadCounters, PrefixCounters, RequestMetrics, RobustnessStats, ServeReport,
 };
 use llmib_engine::{BatchSession, EngineStep, PrefixConfig, Sampler, TokenEvent, TransformerModel};
-use llmib_sched::{BatchingPolicy, BrownoutController};
+use llmib_sched::{insert_by_priority, pick_victim, BatchingPolicy, BrownoutController};
 use llmib_types::{Priority, Result, Seconds, StepError};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -167,8 +167,8 @@ struct LiveSeq {
     sampler: Sampler,
     priority: Priority,
     /// Admission sequence number, monotone across all admissions
-    /// (replays included) — the youngest-victim tie-break shared with
-    /// the simulator's overload loop.
+    /// (replays included) — the youngest-victim tie-break of
+    /// [`pick_victim`], shared with the simulator.
     admit_seq: u64,
 }
 
@@ -182,17 +182,6 @@ struct Carry {
     admitted_at: Seconds,
     first_token_at: Option<Seconds>,
     generated: u32,
-}
-
-/// Insert before the first queued submission of a *strictly* lower
-/// class (FIFO within a class) — identical to the simulator's ready
-/// queue, and equivalent to `push_back` for single-class traffic.
-fn insert_by_priority(queue: &mut VecDeque<Submission>, sub: Submission) {
-    let pos = queue
-        .iter()
-        .position(|q| q.priority < sub.priority)
-        .unwrap_or(queue.len());
-    queue.insert(pos, sub);
 }
 
 /// A live serving runtime over one [`TransformerModel`].
@@ -348,7 +337,7 @@ impl<'m> Scheduler<'m> {
             });
             return;
         }
-        insert_by_priority(&mut self.waiting, sub);
+        insert_by_priority(&mut self.waiting, sub, |s| s.priority);
     }
 
     /// Apply every cancellation currently queued on the control channel.
@@ -483,7 +472,7 @@ impl<'m> Scheduler<'m> {
             // Budget of this admission: replays keep their remaining
             // tokens; first admissions may be clamped by brownout
             // level 1. The clamp is applied only if the admission
-            // succeeds, like the simulator's overload loop.
+            // succeeds, like the simulator's overload admission.
             let max_new = if self.carry.contains_key(&front_id) {
                 front.max_new_tokens
             } else {
@@ -557,7 +546,7 @@ impl<'m> Scheduler<'m> {
                         // the first pass. Prefix-cache hits on the
                         // replayed prompt are an artifact of replay and
                         // are not counted (the simulator's overload
-                        // loop models no prefix reuse).
+                        // admission models no prefix reuse).
                         self.live.insert(
                             sub.id,
                             LiveSeq {
@@ -633,18 +622,14 @@ impl<'m> Scheduler<'m> {
     /// whether a victim was found. No client-visible event fires — the
     /// client only observes a pause in its token stream.
     fn preempt_below(&mut self, preemptor: Priority) -> bool {
-        let victim = self
-            .live
-            .iter()
-            .filter(|(_, m)| m.priority < preemptor)
-            .min_by_key(|(_, m)| (m.priority, std::cmp::Reverse(m.admit_seq)))
+        let victim = pick_victim(&self.live, preemptor, |(_, m)| (m.priority, m.admit_seq))
             .map(|(&id, _)| id);
         let Some(id) = victim else {
             return false;
         };
         let meta = self.live.remove(&id).expect("victim is live");
         // Injector eviction also cancels any pending poison for the
-        // victim — the simulator's overload loop mirrors this contract.
+        // victim — the simulator's overload admission mirrors this contract.
         self.session.evict(id);
         self.budget.release(id);
         let replayed = meta.tokens.len();
@@ -676,6 +661,7 @@ impl<'m> Scheduler<'m> {
                 priority: meta.priority,
                 events: meta.events,
             },
+            |s| s.priority,
         );
         true
     }
@@ -787,7 +773,7 @@ impl<'m> Scheduler<'m> {
         self.peak_kv = self.peak_kv.max(self.budget.utilization());
         // One brownout observation per completed decode step, carrying
         // whether this step's admission pass starved on KV — the same
-        // cadence and signal as the simulator's overload loop. The
+        // cadence and signal as the simulator's replica step. The
         // controller no-ops unless brownout is enabled.
         self.brownout.observe_step(self.admit_starved);
     }
@@ -920,7 +906,7 @@ fn scheduler_loop(
         // 1b. Under an active overload policy any pending injected
         //     stall sleeps here, *before* intake, so arrivals landing
         //     during the stall are visible to this iteration's
-        //     admission pass — the simulator's overload loop advances
+        //     admission pass — the simulator's replica step advances
         //     its clock at the same point. The legacy path keeps the
         //     stall inside `try_step` (the chaos watchdog asserts on
         //     in-step latency).

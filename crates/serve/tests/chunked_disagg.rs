@@ -311,7 +311,7 @@ fn live_and_sim_disaggregated_handoffs_reconcile_exactly() {
         kv_capacity_tokens: 4096,
         kv_block_tokens: Some(16),
     })
-    .run_disaggregated(
+    .run_pool(
         trace.clone(),
         &sim_perf(),
         &roles,

@@ -1,5 +1,5 @@
 //! Replicated sim-vs-live cross-validation: run an identical trace and
-//! replica-scoped fault plan through [`ServingSimulator::run_replicated`]
+//! replica-scoped fault plan through [`ServingSimulator::run_pool`]
 //! and a live [`ReplicaPool`], and require exact agreement on failover
 //! accounting (replicas lost, migrations, lifecycle totals).
 //!
@@ -17,7 +17,7 @@ use llmib_sched::{BatchingPolicy, ServingSimulator, SimConfig};
 use llmib_serve::{
     replay_trace_on, PoolConfig, ReplayOptions, ReplicaPool, RequestOutcome, ServeConfig,
 };
-use llmib_types::{ReplicaFaultPlan, ReplicaId};
+use llmib_types::{ReplicaFaultPlan, ReplicaId, ReplicaRole};
 use llmib_workloads::TrafficProfile;
 use std::sync::Arc;
 
@@ -84,7 +84,7 @@ fn replicated_sim_and_live_pool_agree_on_failover_accounting() {
 
     let perf = sim_perf();
     let sim = ServingSimulator::new(sim_config(BatchingPolicy::Continuous));
-    let simulated = sim.run_replicated(trace.clone(), &perf, 3, &plan);
+    let simulated = sim.run_pool(trace.clone(), &perf, &[ReplicaRole::Unified; 3], &plan);
     assert_eq!(simulated.failovers, 1);
     assert_eq!(simulated.migrations, 4);
     assert_eq!(simulated.aggregate.completed, 12);

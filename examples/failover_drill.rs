@@ -28,7 +28,7 @@ use llmib_sched::{ArrivalPattern, BatchingPolicy, ServingSimulator, SimConfig};
 use llmib_serve::{
     deterministic_prompt, PoolConfig, PoolReport, ReplicaPool, RequestOutcome, SubmitOptions,
 };
-use llmib_types::{ReplicaFaultPlan, ReplicaId, TokenShape};
+use llmib_types::{ReplicaFaultPlan, ReplicaId, ReplicaRole, TokenShape};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -177,10 +177,10 @@ fn main() {
         kv_block_tokens: Some(16),
     });
     let trace = ArrivalPattern::Burst.generate(N as u32, PROMPT_TOKENS, MAX_NEW as u32);
-    let simulated = sim.run_replicated(
+    let simulated = sim.run_pool(
         trace,
         &perf,
-        REPLICAS,
+        &[ReplicaRole::Unified; REPLICAS as usize],
         &ReplicaFaultPlan::kill_replica(ReplicaId(1), KILL_STEP),
     );
     println!(

@@ -142,7 +142,7 @@ fn main() {
 
     // Disaggregated contrast: prefill hidden from decode entirely.
     let roles = [ReplicaRole::Prefill, ReplicaRole::Decode];
-    let disagg = sim().run_disaggregated(
+    let disagg = sim().run_pool(
         trace(rate2x, seed),
         &perf,
         &roles,
