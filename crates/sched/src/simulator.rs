@@ -358,10 +358,13 @@ impl ServingSimulator {
     /// [`BrownoutController`] ladder. Counters then reconcile exactly
     /// with an `llmib-serve` run of the same trace. Prefix caching is
     /// not modeled in this mode (the live budget charges full prompts).
-    pub fn with_overload(mut self, overload: OverloadConfig) -> Self {
-        overload.validate().expect("invalid overload configuration");
+    ///
+    /// Returns [`OverloadConfig::validate`]'s error for an invalid
+    /// configuration.
+    pub fn with_overload(mut self, overload: OverloadConfig) -> Result<Self, String> {
+        overload.validate()?;
         self.overload = Some(overload);
-        self
+        Ok(self)
     }
 
     /// Run `requests` to completion against the step costs of `perf`.
@@ -1423,7 +1426,8 @@ mod tests {
             .with_overload(OverloadConfig {
                 preemption: true,
                 ..OverloadConfig::default()
-            });
+            })
+            .unwrap();
         let rep = sim.run(reqs.clone(), &perf(4));
         assert_eq!(rep.completed, 5, "preempted victims still finish");
         assert!(rep.preemptions >= 1, "the interactive arrival preempts");
@@ -1445,7 +1449,8 @@ mod tests {
         // Same trace with preemption disabled: the interactive waits
         // instead, and nothing is evicted.
         let polite = ServingSimulator::new(config(BatchingPolicy::Continuous, 1300, Some(16)))
-            .with_overload(OverloadConfig::default());
+            .with_overload(OverloadConfig::default())
+            .unwrap();
         let rep2 = polite.run(reqs, &perf(4));
         assert_eq!(rep2.completed, 5);
         assert_eq!(rep2.preemptions, 0);
@@ -1471,7 +1476,8 @@ mod tests {
                     recover_after: 4,
                     degraded_max_new_tokens: 8,
                 },
-            });
+            })
+            .unwrap();
         let rep = sim.run(reqs, &perf(2));
         assert!(rep.brownout_steps > 0, "the run degraded");
         assert!(rep.brownout_sheds > 0, "level 2 shed queued best-effort");
@@ -1483,6 +1489,23 @@ mod tests {
         );
         assert!(rep.completed >= 2, "the admitted pair still finishes");
         assert_eq!(rep.preemptions, 0, "same-class traffic never preempts");
+    }
+
+    #[test]
+    fn invalid_overload_configuration_is_an_error_not_a_panic() {
+        use crate::overload::{BrownoutConfig, OverloadConfig};
+        let sim = ServingSimulator::new(config(BatchingPolicy::Continuous, 400, Some(16)));
+        let err = sim
+            .with_overload(OverloadConfig {
+                preemption: true,
+                brownout: BrownoutConfig {
+                    enabled: true,
+                    trip_after: 0,
+                    ..BrownoutConfig::default()
+                },
+            })
+            .unwrap_err();
+        assert!(err.contains("trip_after"), "{err}");
     }
 
     #[test]

@@ -154,6 +154,7 @@ fn scenarios() -> Vec<(&'static str, String)> {
         json(
             &paged(800)
                 .with_overload(overload())
+                .unwrap()
                 .run(mixed.clone(), &perf(8)),
         ),
     ));
@@ -162,17 +163,23 @@ fn scenarios() -> Vec<(&'static str, String)> {
         json(
             &paged(800)
                 .with_overload(overload())
+                .unwrap()
                 .with_prefill_chunking(16)
                 .run(mixed.clone(), &perf(8)),
         ),
     ));
     out.push((
         "overload_seeded_faults",
-        json(&paged(800).with_overload(overload()).run_with_faults(
-            mixed.clone(),
-            &perf(8),
-            &FaultPlan::seeded(13, 40, &ids(&mixed)),
-        )),
+        json(
+            &paged(800)
+                .with_overload(overload())
+                .unwrap()
+                .run_with_faults(
+                    mixed.clone(),
+                    &perf(8),
+                    &FaultPlan::seeded(13, 40, &ids(&mixed)),
+                ),
+        ),
     ));
 
     for (seed, name) in [

@@ -124,7 +124,8 @@ fn preempted_stream_is_bitwise_identical_and_counters_reconcile_with_sim() {
         kv_capacity_tokens: CAPACITY,
         kv_block_tokens: Some(16),
     })
-    .with_overload(overload());
+    .with_overload(overload())
+    .unwrap();
     let simulated = sim.run_with_faults(trace.clone(), &sim_perf(), &gates());
     assert_eq!(simulated.completed, 5);
     assert_eq!(simulated.rejected, 0);

@@ -87,6 +87,7 @@ fn sim(protected: bool) -> ServingSimulator {
     });
     if protected {
         sim.with_overload(overload())
+            .expect("the drill's overload configuration is valid")
     } else {
         sim
     }
