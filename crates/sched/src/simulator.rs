@@ -751,6 +751,11 @@ impl ServingSimulator {
         }
 
         f.tally.peak_util = f.tally.peak_util.max(rep.alloc.stats().utilization());
+        // A pressure window lasts `steps` decode steps, the live
+        // injector's countdown.
+        if let Some((factor, steps)) = rep.pressure {
+            rep.pressure = (steps > 1).then_some((factor, steps - 1));
+        }
         // One starvation sample per completed decode step — the shared
         // ladder both backends drive identically.
         rep.brownout.observe_step(starved);
@@ -1323,6 +1328,35 @@ mod tests {
             "throttled admission cannot raise occupancy ({} vs {})",
             faulted.mean_batch_occupancy,
             healthy.mean_batch_occupancy
+        );
+    }
+
+    #[test]
+    fn memory_pressure_window_expires_after_its_steps() {
+        use llmib_types::{FaultEvent, FaultPlan};
+        // A one-step window at a 0.1 factor holds the first wave to four
+        // admissions; once it expires the next step refills the batch,
+        // like the live injector dropping the window after `steps`
+        // successful decode steps.
+        let mut cfg = config(BatchingPolicy::Continuous, 4096, Some(16));
+        cfg.max_concurrency = 8;
+        let sim = ServingSimulator::new(cfg);
+        let reqs = ArrivalPattern::Burst.generate(16, 128, 32);
+        let healthy = sim.run(reqs.clone(), &perf(8));
+        let plan = FaultPlan::new(vec![FaultEvent {
+            at_step: 0,
+            kind: FaultKind::MemoryPressure {
+                capacity_factor: 0.1,
+                steps: 1,
+            },
+        }]);
+        let faulted = sim.run_with_faults(reqs, &perf(8), &plan);
+        assert_eq!(faulted.completed, 16);
+        assert!(
+            faulted.decode_steps <= healthy.decode_steps + 2,
+            "a one-step window must not throttle the whole run ({} vs {} healthy steps)",
+            faulted.decode_steps,
+            healthy.decode_steps
         );
     }
 
