@@ -49,7 +49,7 @@
 //! controller ([`BrownoutConfig`]) first clamps and then sheds
 //! best-effort work while decode steps starve. The
 //! [`OverloadCounters`] block reports what the machinery did, per
-//! class — and `llmib_sched::ServingSimulator::run_with_faults` under
+//! class — and `llmib_sched::ServingSimulator::with_overload` under
 //! the same config must reproduce those counters exactly on an
 //! identical trace.
 //!
@@ -70,7 +70,7 @@
 //! streamed`, and greedy determinism makes the continued stream bitwise
 //! identical to an unfaulted run. Stragglers can be hedged on a second
 //! replica ([`PoolConfig::hedge_after`]); the mirrored
-//! `llmib_sched::ServingSimulator::run_replicated` cross-validates
+//! `llmib_sched::ServingSimulator::run_pool` cross-validates
 //! failover counts and migrated-token accounting.
 //!
 //! ```

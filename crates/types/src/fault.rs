@@ -192,7 +192,7 @@ impl FaultPlan {
 /// *own* successful-decode-step clock: replica 2 panicking "at step 6"
 /// means after six successful steps of replica 2, regardless of what the
 /// rest of the pool is doing. Both the live `ReplicaPool` in
-/// `llmib-serve` and `ServingSimulator::run_replicated` in `llmib-sched`
+/// `llmib-serve` and `ServingSimulator::run_pool` in `llmib-sched`
 /// split a pool plan into per-replica [`FaultPlan`]s via
 /// [`ReplicaFaultPlan::plan_for`], so one pool plan describes one chaos
 /// scenario in both backends.
