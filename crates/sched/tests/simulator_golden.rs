@@ -128,10 +128,7 @@ fn scenarios() -> Vec<(&'static str, String)> {
             }
         })
         .collect();
-    out.push((
-        "shared_prefix",
-        json(&paged(1 << 16).run(shared.clone(), &perf(8))),
-    ));
+    out.push(("shared_prefix", json(&paged(1 << 16).run(shared, &perf(8)))));
 
     let tight = ArrivalPattern::Burst.generate(6, 128, 64);
     out.push((
