@@ -93,7 +93,12 @@ fn bench_flash_attention(c: &mut Criterion) {
                         scores.extend(
                             (pos..end).map(|p| dot_kernel(qh, &keys.row(p)[h * d..(h + 1) * d])),
                         );
-                        os.fold(&scores, oh, |i| &vals.row(pos + i)[h * d..(h + 1) * d]);
+                        os.fold(
+                            &mut scores,
+                            oh,
+                            &vals.data()[pos * heads * d + h * d..],
+                            heads * d,
+                        );
                         pos = end;
                     }
                     os.finish(oh);

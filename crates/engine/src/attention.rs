@@ -1,38 +1,48 @@
 //! Self-attention with KV caching, supporting both MHSA and GQA.
 //!
-//! Three execution paths share one fused, flash-style attention core
-//! ([`Attention`] keeps them numerically identical by funneling every
-//! score dot product through [`dot_kernel`] and folding values through
-//! one [`OnlineSoftmax`]):
+//! Three execution paths share one fused, flash-style attention core,
+//! [`Attention::attend_tile`], which attends a tile of consecutive
+//! query rows of one sequence:
 //!
 //! * token-at-a-time decode ([`Attention::forward`] and the
-//!   workspace-backed [`Attention::forward_ws`]),
+//!   workspace-backed [`Attention::forward_ws`]) — 1-row tiles,
 //! * multi-token causal prefill ([`Attention::prefill`]) — one GEMM per
-//!   projection for the whole prompt, queries attended in parallel,
+//!   projection for the whole prompt, then tiles of up to
+//!   [`PREFILL_TILE_ROWS`] rows, attended in parallel,
 //! * cross-sequence batched decode ([`Attention::forward_batch`]) — one
-//!   GEMM per projection for a batch of independent sequences.
+//!   GEMM per projection for a batch of independent sequences, then one
+//!   1-row tile per sequence.
 //!
-//! The core streams directly over the paged KV block chain: per head it
-//! scores one KV block at a time into a block-sized scratch row and
-//! folds it into a running online softmax, so the full `O(context)`
-//! score row is never materialized and keys/values are read straight
-//! from block storage with no per-position slicing overhead. Chunk
-//! boundaries are a pure function of (window start, visible positions,
-//! block size), so every path folds in the same order and all three
-//! stay bitwise identical to each other.
+//! The core streams directly over the paged KV block chain, one KV
+//! head and one block-aligned chunk at a time. A block inside every
+//! row's window is read and scored once for all (rows × GQA group
+//! heads) of the tile, through the GEMM's 2×2 micro-kernel; the leading
+//! chunk of a sliding window and the diagonal chunks are scored per row.
+//! Each (row, head) folds its chunk scores into its own
+//! [`OnlineSoftmax`], so the full `O(context)` score row is never
+//! materialized. Chunk boundaries are a pure function of (window start,
+//! visible positions, block size) and every score is bitwise equal to
+//! one [`dot_kernel`], so every path folds the same values in the same
+//! order and all three stay bitwise identical to each other.
 
 use crate::blockpool::BlockPool;
 use crate::config::EngineConfig;
 use crate::flash::OnlineSoftmax;
 use crate::model::{Linear, Workspace};
 use crate::quant::QuantMode;
-use crate::tensor::{dot_kernel, Matrix, RopeTable, PARALLEL_FLOP_THRESHOLD};
+use crate::tensor::{dot2x2, dot_kernel, Matrix, RopeTable, PARALLEL_FLOP_THRESHOLD};
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Default KV-block size in token positions, matching the serving
 /// layer's default paged-allocator block (`kv_block_tokens`).
 pub const DEFAULT_BLOCK_TOKENS: usize = 16;
+
+/// Query rows per prefill attention tile: each KV block inside every
+/// row's window is read and scored once per tile instead of once per
+/// row.
+const PREFILL_TILE_ROWS: usize = 8;
 
 /// One fixed-size block of KV storage: `block_tokens` consecutive
 /// positions across every layer. Keys/values for layer `l`, in-block
@@ -304,55 +314,80 @@ impl Attention {
         }
     }
 
-    /// Fused flash-style attention core for one query (all heads)
-    /// against cached positions `[window_start(visible), visible)` of
-    /// `layer`. Per head it streams the KV block chain: each block's
-    /// scores land in the block-sized `scores` scratch row and are
-    /// immediately folded into an [`OnlineSoftmax`] accumulating into
-    /// `out` — the full score row for the window is never materialized.
-    /// Chunk boundaries depend only on (window start, visible, block
-    /// size), so decode, prefill, and batched paths fold identically.
-    fn attend_one(
+    /// The attention core: a tile of consecutive query rows of one
+    /// sequence (`q` holds `rows × heads × head_dim` floats; row `r`
+    /// sees cached positions `[window_start(v), v)` of `layer` with
+    /// `v = first_visible + r`) writes the concatenated head outputs of
+    /// every row into `out`.
+    ///
+    /// Per KV head, cached positions are folded one KV-block chunk at a
+    /// time. A block inside every row's window is read and scored once
+    /// for the whole (rows × GQA group heads) tile; the leading chunks
+    /// of a sliding window and the diagonal chunks past the first row's
+    /// end are scored per row. Either way each (row, head) folds the
+    /// same chunks in the same order as a 1-row tile would — chunk
+    /// boundaries depend only on (window start, visible, block size) —
+    /// so decode, prefill and batched paths stay bitwise identical.
+    fn attend_tile(
         &self,
         q: &[f32],
         layer: usize,
         cache: &KvCache,
-        visible: usize,
-        scores: &mut Vec<f32>,
+        first_visible: usize,
+        scratch: &mut TileScratch,
         out: &mut [f32],
     ) {
-        let d = self.head_dim;
-        let kv_dim = cache.kv_dim;
+        let width = self.heads * self.head_dim;
+        let rows = q.len() / width;
         let bt = cache.block_tokens;
-        // Sliding-window attention (Mistral-style): attend only to the
-        // most recent `window` positions.
-        let start = match self.sliding_window {
+        let window_start = |visible: usize| match self.sliding_window {
             Some(w) => visible.saturating_sub(w),
             None => 0,
         };
+        // Blocks `[lo, hi)` lie inside every row's window: the last row's
+        // window starts latest, the first row's prefix ends earliest.
+        let lo = window_start(first_visible + rows - 1).next_multiple_of(bt);
+        let hi = first_visible / bt * bt;
+        let (lo, hi) = if lo < hi {
+            (lo, hi)
+        } else {
+            (usize::MAX, usize::MAX)
+        };
         let group = self.heads / self.kv_heads;
-        let inv_sqrt_d = 1.0 / (d as f32).sqrt();
+        scratch.scores.resize(rows * group * bt, 0.0);
+        scratch.states.clear();
+        scratch
+            .states
+            .resize(rows * self.heads, OnlineSoftmax::new());
         out.fill(0.0);
-        for h in 0..self.heads {
-            let kvh = h / group;
-            let qh = &q[h * d..(h + 1) * d];
-            let oh = &mut out[h * d..(h + 1) * d];
-            let mut os = OnlineSoftmax::new();
-            let mut pos = start;
-            while pos < visible {
-                let block = pos / bt;
-                let end = visible.min((block + 1) * bt);
-                let slot0 = pos % bt;
-                let keys = cache.layer_keys(layer, block);
-                scores.clear();
-                scores.extend((0..end - pos).map(|i| {
-                    let kt = &keys[(slot0 + i) * kv_dim + kvh * d..][..d];
-                    dot_kernel(qh, kt) * inv_sqrt_d
-                }));
-                let vals = cache.layer_vals(layer, block);
-                os.fold(scores, oh, |i| &vals[(slot0 + i) * kv_dim + kvh * d..][..d]);
-                pos = end;
+        let tile = Tile {
+            attn: self,
+            q,
+            layer,
+            cache,
+        };
+        for kvh in 0..self.kv_heads {
+            for r in 0..rows {
+                let visible = first_visible + r;
+                tile.fold(
+                    kvh,
+                    r..r + 1,
+                    window_start(visible),
+                    lo.min(visible),
+                    scratch,
+                    out,
+                );
             }
+            tile.fold(kvh, 0..rows, lo, hi, scratch, out);
+            for r in 0..rows {
+                tile.fold(kvh, r..r + 1, hi, first_visible + r, scratch, out);
+            }
+        }
+        for (os, oh) in scratch
+            .states
+            .drain(..)
+            .zip(out.chunks_exact_mut(self.head_dim))
+        {
             os.finish(oh);
         }
     }
@@ -366,13 +401,13 @@ impl Attention {
         self.rope_qk(&mut q, &mut k, pos);
         cache.append(layer, &k, &v);
         let mut out = vec![0.0f32; self.heads * self.head_dim];
-        let mut scores = Vec::new();
-        self.attend_one(
+        let mut scratch = TileScratch::new(1, self.heads, self.kv_heads, cache.block_tokens);
+        self.attend_tile(
             &q,
             layer,
             cache,
             cache.layer_len(layer),
-            &mut scores,
+            &mut scratch,
             &mut out,
         );
         self.wo.matmul_vec(&out)
@@ -393,12 +428,12 @@ impl Attention {
         self.wv.matmul_vec_into(&ws.normed, &mut ws.v, &mut ws.xq);
         self.rope_qk(&mut ws.q, &mut ws.k, pos);
         cache.append(layer, &ws.k, &ws.v);
-        self.attend_one(
+        self.attend_tile(
             &ws.q,
             layer,
             cache,
             cache.layer_len(layer),
-            &mut ws.scores,
+            &mut ws.attn_tile,
             &mut ws.attn,
         );
         self.wo.matmul_vec_into(&ws.attn, &mut ws.proj, &mut ws.xq);
@@ -407,9 +442,10 @@ impl Attention {
     /// Causal multi-token prefill: project a whole block of normalized
     /// activations (`xs`, one row per token) with one GEMM per weight
     /// matrix, extend the cache, and attend each token to its causal
-    /// prefix. Row `t` of the result attends to cached positions
-    /// `..start + t + 1`, so the output matches feeding the rows through
-    /// [`Attention::forward`] one at a time exactly.
+    /// prefix in tiles of up to 8 consecutive rows. Row `t` of the
+    /// result attends to cached positions `..start + t + 1`, so the
+    /// output matches feeding the rows through [`Attention::forward`]
+    /// one at a time exactly.
     pub fn prefill(&self, xs: &Matrix, layer: usize, cache: &mut KvCache) -> Matrix {
         let t = xs.rows();
         let start = cache.layer_len(layer);
@@ -422,17 +458,25 @@ impl Attention {
         for i in 0..t {
             cache.append(layer, k.row(i), v.row(i));
         }
-        let mut out = Matrix::zeros(t, self.heads * self.head_dim);
-        // Per-query attention rows are independent, so prefill attends
-        // them in parallel above the work threshold. Each row runs the
-        // identical fused core with its own scratch, so the result stays
+        let width = self.heads * self.head_dim;
+        let mut out = Matrix::zeros(t, width);
+        // Tiles are independent, so prefill attends them in parallel
+        // above the work threshold, each with its own scratch; every
+        // row folds the same chunks either way, so the result stays
         // bitwise equal to the serial (and token-at-a-time) path.
-        let flops = t * (start + t) * self.heads * self.head_dim;
+        let flops = t * (start + t) * width;
         let cache = &*cache;
-        out.for_each_row_mut(flops >= PARALLEL_FLOP_THRESHOLD, |i, row| {
-            let mut scores = Vec::with_capacity(cache.block_tokens());
-            self.attend_one(q.row(i), layer, cache, start + i + 1, &mut scores, row);
-        });
+        out.for_each_tile_mut(
+            PREFILL_TILE_ROWS,
+            flops >= PARALLEL_FLOP_THRESHOLD,
+            |r0, tile| {
+                let rows = tile.len() / width;
+                let mut scratch =
+                    TileScratch::new(rows, self.heads, self.kv_heads, cache.block_tokens);
+                let q = &q.data()[r0 * width..(r0 + rows) * width];
+                self.attend_tile(q, layer, cache, start + r0 + 1, &mut scratch, tile);
+            },
+        );
         self.wo.matmul_mat(&out)
     }
 
@@ -456,21 +500,144 @@ impl Attention {
         let mut k = self.wk.matmul_mat(xs);
         let v = self.wv.matmul_mat(xs);
         let mut out = Matrix::zeros(b, self.heads * self.head_dim);
-        let mut scores = Vec::new();
+        let mut scratch = TileScratch::new(1, self.heads, self.kv_heads, DEFAULT_BLOCK_TOKENS);
         for i in 0..b {
             self.rope_qk(q.row_mut(i), k.row_mut(i), positions[i]);
             caches[i].append(layer, k.row(i), v.row(i));
             let visible = caches[i].layer_len(layer);
-            self.attend_one(
+            self.attend_tile(
                 q.row(i),
                 layer,
                 caches[i],
                 visible,
-                &mut scores,
+                &mut scratch,
                 out.row_mut(i),
             );
         }
         self.wo.matmul_mat(&out)
+    }
+}
+
+/// Reusable scratch of the attention core: one chunk of scores for
+/// every query of a tile's GQA group, and one online-softmax state per
+/// (row, head). Sized once per tile shape, so a decode loop that keeps
+/// one allocates nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct TileScratch {
+    scores: Vec<f32>,
+    states: Vec<OnlineSoftmax>,
+}
+
+impl TileScratch {
+    /// Scratch for tiles of up to `rows` query rows against caches of
+    /// `block_tokens`-position blocks (it grows on first use if a
+    /// cache's blocks are larger).
+    pub(crate) fn new(rows: usize, heads: usize, kv_heads: usize, block_tokens: usize) -> Self {
+        Self {
+            scores: Vec::with_capacity(rows * heads / kv_heads * block_tokens),
+            states: Vec::with_capacity(rows * heads),
+        }
+    }
+}
+
+/// What every chunk fold of one [`Attention::attend_tile`] call shares.
+struct Tile<'a> {
+    attn: &'a Attention,
+    q: &'a [f32],
+    layer: usize,
+    cache: &'a KvCache,
+}
+
+impl Tile<'_> {
+    /// Fold cached positions `[from, to)` of KV head `kvh` into tile
+    /// rows `rows`, one KV-block chunk at a time: score the chunk for
+    /// all `rows × group` queries at once, then fold each query's
+    /// scores into its (row, head) accumulator in `out`.
+    fn fold(
+        &self,
+        kvh: usize,
+        rows: Range<usize>,
+        from: usize,
+        to: usize,
+        scratch: &mut TileScratch,
+        out: &mut [f32],
+    ) {
+        let (heads, d) = (self.attn.heads, self.attn.head_dim);
+        let group = heads / self.attn.kv_heads;
+        let (bt, kv_dim) = (self.cache.block_tokens, self.cache.kv_dim);
+        let scale = 1.0 / (d as f32).sqrt();
+        // Query `i` of the tile is head `kvh * group + i % group` of row
+        // `rows.start + i / group`; its output slot in `out` and its
+        // softmax state share one index.
+        let slot = |i: usize| (rows.start + i / group) * heads + kvh * group + i % group;
+        let nq = rows.len() * group;
+        let mut pos = from;
+        while pos < to {
+            let block = pos / bt;
+            let end = to.min((block + 1) * bt);
+            let n = end - pos;
+            let at = (pos % bt) * kv_dim + kvh * d;
+            let keys = &self.cache.layer_keys(self.layer, block)[at..];
+            let vals = &self.cache.layer_vals(self.layer, block)[at..];
+            let scores = &mut scratch.scores[..nq * n];
+            score_chunk(
+                |i| &self.q[slot(i) * d..][..d],
+                nq,
+                keys,
+                kv_dim,
+                d,
+                scale,
+                scores,
+            );
+            for (i, s) in scores.chunks_exact_mut(n).enumerate() {
+                let o = slot(i);
+                scratch.states[o].fold(s, &mut out[o * d..][..d], vals, kv_dim);
+            }
+            pos = end;
+        }
+    }
+}
+
+/// `scores[i * n + j] = scale · (query(i) · key_j)` for `nq` queries and
+/// the `n = scores.len() / nq` keys `keys[j * stride..][..d]`: 2×2 at a
+/// time through [`dot2x2`], so each loaded key and query serves two
+/// dots, and the odd remainders through [`dot_kernel`]. Both produce
+/// the same bits as one [`dot_kernel`] per pair.
+fn score_chunk<'q>(
+    query: impl Fn(usize) -> &'q [f32],
+    nq: usize,
+    keys: &[f32],
+    stride: usize,
+    d: usize,
+    scale: f32,
+    scores: &mut [f32],
+) {
+    let n = scores.len() / nq;
+    let key = |j: usize| &keys[j * stride..][..d];
+    let mut i = 0;
+    while i + 2 <= nq {
+        let (q0, q1) = (query(i), query(i + 1));
+        let (s0, s1) = scores[i * n..(i + 2) * n].split_at_mut(n);
+        let mut j = 0;
+        while j + 2 <= n {
+            let t = dot2x2(key(j), key(j + 1), q0, q1);
+            s0[j] = t[0] * scale;
+            s0[j + 1] = t[1] * scale;
+            s1[j] = t[2] * scale;
+            s1[j + 1] = t[3] * scale;
+            j += 2;
+        }
+        if j < n {
+            s0[j] = dot_kernel(q0, key(j)) * scale;
+            s1[j] = dot_kernel(q1, key(j)) * scale;
+        }
+        i += 2;
+    }
+    if i < nq {
+        let q0 = query(i);
+        for (j, s) in scores[i * n..].iter_mut().enumerate() {
+            *s = dot_kernel(q0, key(j)) * scale;
+        }
     }
 }
 

@@ -7,17 +7,23 @@
 //! rescaled by `exp(m_old − m_new)`. One [`OnlineSoftmax::finish`]
 //! division at the end yields exactly a softmax-weighted sum — without
 //! the full score row for a long context ever being materialized. The
-//! attention core streams chunks aligned to the KV cache's block chain,
-//! so the working set per head is one block of scores, not `O(context)`.
+//! engine's tiled attention core (`Attention::attend_tile`) scores one
+//! KV-block chunk for a whole tile of query rows and GQA heads at once,
+//! then folds each (row, head)'s slice of those scores here, so the
+//! working set per head is one block of scores, not `O(context)`.
 //!
 //! **Determinism.** For a fixed chunking the result is a pure function
 //! of the inputs, and the engine chunks on KV-block boundaries, which
 //! depend only on (window start, visible positions, block size) — the
 //! decode, prefill, and batched paths therefore fold in the same order
-//! and stay bitwise identical to each other. (The fused result is *not*
-//! bitwise equal to a two-pass softmax — it is the same sum with a
-//! different normalization order — which is fine: no reference path in
-//! the engine uses the two-pass form anymore.)
+//! and stay bitwise identical to each other. The block form of
+//! [`OnlineSoftmax::fold`] runs its exponentials, normalizer sum and
+//! weighted value sum as separate passes, but each output element sees
+//! the same operations in the same order as a one-score-at-a-time fold.
+//! (The fused result is *not* bitwise equal to a two-pass softmax — it
+//! is the same sum with a different normalization order — which is
+//! fine: no reference path in the engine uses the two-pass form
+//! anymore.)
 //!
 //! **Guards** match [`crate::tensor::softmax_in_place`]: a row of only
 //! `-inf` (fully masked) scores yields zero weights rather than NaN;
@@ -50,14 +56,17 @@ impl OnlineSoftmax {
     }
 
     /// Fold one chunk of `scores` into the running softmax, adding
-    /// `exp(s_i − m) * value(i)` into `acc`. `value(i)` returns the
-    /// value row matching `scores[i]`.
-    pub fn fold<'v>(
-        &mut self,
-        scores: &[f32],
-        acc: &mut [f32],
-        value: impl Fn(usize) -> &'v [f32],
-    ) {
+    /// `exp(s_i − m) * v_i` into `acc`, where the value row `v_i` is
+    /// `vals[i * stride..][..acc.len()]` (a KV block slab, or any
+    /// row-major matrix). `scores` is overwritten with the weights
+    /// `exp(s_i − m)`.
+    ///
+    /// The block form runs three passes — exponentials, then the
+    /// normalizer sum, then the weighted value sum with `acc` held in
+    /// registers — but every output element still sees the same
+    /// operations in the same order as folding one score at a time, so
+    /// the result is bitwise unchanged by the pass structure.
+    pub fn fold(&mut self, scores: &mut [f32], acc: &mut [f32], vals: &[f32], stride: usize) {
         let chunk_max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let m_new = self.m.max(chunk_max);
         if m_new == f32::NEG_INFINITY {
@@ -79,10 +88,22 @@ impl OnlineSoftmax {
             }
             self.m = m_new;
         }
-        for (i, &s) in scores.iter().enumerate() {
-            let p = (s - self.m).exp();
+        for s in scores.iter_mut() {
+            *s = (*s - self.m).exp();
+        }
+        for &p in scores.iter() {
             self.l += p;
-            axpy(acc, p, value(i));
+        }
+        match acc.len() {
+            8 => weighted_sum::<8>(acc, scores, vals, stride),
+            16 => weighted_sum::<16>(acc, scores, vals, stride),
+            32 => weighted_sum::<32>(acc, scores, vals, stride),
+            64 => weighted_sum::<64>(acc, scores, vals, stride),
+            d => {
+                for (i, &p) in scores.iter().enumerate() {
+                    axpy(acc, p, &vals[i * stride..][..d]);
+                }
+            }
         }
     }
 
@@ -102,6 +123,24 @@ impl OnlineSoftmax {
             acc.fill(0.0);
         }
     }
+}
+
+/// `acc += Σ_i weights[i] * v_i` for a head width `D` known at compile
+/// time: the accumulator lives in registers across the whole chunk
+/// instead of being loaded and stored once per value row. Each element
+/// still takes one multiply and one add per row, in row order — the
+/// same roundings as [`axpy`].
+#[inline]
+fn weighted_sum<const D: usize>(acc: &mut [f32], weights: &[f32], vals: &[f32], stride: usize) {
+    let acc: &mut [f32; D] = acc.try_into().expect("head width");
+    let mut a = *acc;
+    for (i, &p) in weights.iter().enumerate() {
+        let v: &[f32; D] = vals[i * stride..][..D].try_into().expect("head width");
+        for (x, &y) in a.iter_mut().zip(v) {
+            *x += p * y;
+        }
+    }
+    *acc = a;
 }
 
 /// `acc[i] += p * v[i]`, dispatched to the SIMD backend when enabled.
@@ -142,19 +181,86 @@ mod tests {
     }
 
     fn fold_chunked(scores: &[f32], values: &[Vec<f32>], dim: usize, chunk: usize) -> Vec<f32> {
+        let slab: Vec<f32> = values.concat();
         let mut acc = vec![0.0f32; dim];
         let mut os = OnlineSoftmax::new();
         let mut at = 0;
         while at < scores.len() {
             let end = (at + chunk).min(scores.len());
-            os.fold(&scores[at..end], &mut acc, |i| values[at + i].as_slice());
+            let mut chunk_scores = scores[at..end].to_vec();
+            os.fold(&mut chunk_scores, &mut acc, &slab[at * dim..], dim);
             at = end;
         }
         os.finish(&mut acc);
         acc
     }
 
+    /// Reference fold, one score at a time: rescale on a new maximum,
+    /// then exponential, normalizer and axpy interleaved per score.
+    fn interleaved_fold(
+        m: &mut f32,
+        l: &mut f32,
+        scores: &[f32],
+        acc: &mut [f32],
+        vals: &[f32],
+        stride: usize,
+    ) {
+        let m_new = m.max(scores.iter().copied().fold(f32::NEG_INFINITY, f32::max));
+        if m_new == f32::NEG_INFINITY {
+            return;
+        }
+        if m_new > *m {
+            if *l != 0.0 {
+                let corr = (*m - m_new).exp();
+                *l *= corr;
+                acc.iter_mut().for_each(|a| *a *= corr);
+            }
+            *m = m_new;
+        }
+        for (i, &s) in scores.iter().enumerate() {
+            let p = (s - *m).exp();
+            *l += p;
+            for (a, v) in acc.iter_mut().zip(&vals[i * stride..]) {
+                *a += p * v;
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn block_fold_is_bitwise_the_interleaved_fold(
+            dim_idx in 0usize..6,
+            pad in 0usize..3,
+            n in 1usize..50,
+            chunk in 1usize..17,
+            seed in 0u64..30,
+        ) {
+            // Every const width and the generic fallback, over a strided
+            // slab and ragged chunks that raise the maximum mid-row.
+            let dim = [2usize, 8, 12, 16, 32, 64][dim_idx];
+            let stride = dim + pad;
+            let m = crate::tensor::Matrix::random(n + 1, stride.max(n), seed, 3.0);
+            let scores: Vec<f32> = m.row(n)[..n].to_vec();
+            let slab: Vec<f32> = (0..n).flat_map(|i| m.row(i)[..stride].to_vec()).collect();
+            let mut acc = vec![0.0f32; dim];
+            let mut reference = vec![0.0f32; dim];
+            let (mut rm, mut rl) = (f32::NEG_INFINITY, 0.0f32);
+            let mut os = OnlineSoftmax::new();
+            let mut at = 0;
+            while at < n {
+                let end = (at + chunk).min(n);
+                let mut block = scores[at..end].to_vec();
+                os.fold(&mut block, &mut acc, &slab[at * stride..], stride);
+                interleaved_fold(
+                    &mut rm, &mut rl, &scores[at..end], &mut reference, &slab[at * stride..], stride,
+                );
+                at = end;
+            }
+            prop_assert_eq!((os.m.to_bits(), os.l.to_bits()), (rm.to_bits(), rl.to_bits()));
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&acc), bits(&reference));
+        }
+
         #[test]
         fn matches_two_pass_softmax(
             n in 1usize..40,

@@ -13,7 +13,7 @@
 //!   stacks concurrent sequences so weights stream once per step instead
 //!   of once per sequence.
 
-use crate::attention::{Attention, KvCache};
+use crate::attention::{Attention, KvCache, TileScratch, DEFAULT_BLOCK_TOKENS};
 use crate::blockpool::BlockPool;
 use crate::config::EngineConfig;
 use crate::moe::MoeFfn;
@@ -84,9 +84,9 @@ impl Linear {
 /// Sized once from the model config ([`TransformerModel::new_workspace`])
 /// and reused across decode steps: in steady state the token-at-a-time
 /// forward pass touches no allocator at all. All buffers keep a fixed
-/// length except `scores` (grown within its `max_seq` capacity),
-/// `route_idx`/`routes` (within `num_experts`), and `xq` (within the
-/// widest quantized input).
+/// length except the attention tile scratch (sized for one query row
+/// against 16-position KV blocks), `route_idx`/`routes` (within
+/// `num_experts`), and `xq` (within the widest quantized input).
 #[derive(Debug, Clone)]
 pub struct Workspace {
     /// Residual-stream activation (`hidden`).
@@ -103,8 +103,8 @@ pub struct Workspace {
     pub(crate) attn: Vec<f32>,
     /// Attention output projection (`hidden`).
     pub(crate) proj: Vec<f32>,
-    /// Attention score scratch (capacity `max_seq`).
-    pub(crate) scores: Vec<f32>,
+    /// Attention core scratch for one-row tiles.
+    pub(crate) attn_tile: TileScratch,
     /// FFN gate projection (`intermediate`).
     pub(crate) gate: Vec<f32>,
     /// FFN up projection (`intermediate`).
@@ -308,7 +308,7 @@ impl TransformerModel {
             v: vec![0.0; c.kv_dim()],
             attn: vec![0.0; c.hidden],
             proj: vec![0.0; c.hidden],
-            scores: Vec::with_capacity(c.max_seq),
+            attn_tile: TileScratch::new(1, c.heads, c.kv_heads, DEFAULT_BLOCK_TOKENS),
             gate: vec![0.0; c.intermediate],
             up: vec![0.0; c.intermediate],
             expert: vec![0.0; c.hidden],

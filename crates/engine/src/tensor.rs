@@ -64,24 +64,26 @@ impl Matrix {
         &self.data
     }
 
-    /// Apply `f` to every `(row_index, row)`, across rayon threads when
-    /// `parallel` (rows are disjoint, so parallel and serial execution
-    /// write identical bytes). Used by the prefill attention sweep,
-    /// where each output row is one token's independent attention.
-    pub(crate) fn for_each_row_mut<F>(&mut self, parallel: bool, f: F)
+    /// Apply `f` to every tile of up to `tile_rows` consecutive rows as
+    /// `(first_row, tile_data)`, across rayon threads when `parallel`
+    /// (tiles are disjoint, so parallel and serial execution write
+    /// identical bytes). Used by the prefill attention sweep, where each
+    /// tile is an independent run of the attention core.
+    pub(crate) fn for_each_tile_mut<F>(&mut self, tile_rows: usize, parallel: bool, f: F)
     where
         F: Fn(usize, &mut [f32]) + Send + Sync,
     {
+        let span = tile_rows * self.cols;
         if parallel {
             self.data
-                .par_chunks_mut(self.cols)
+                .par_chunks_mut(span)
                 .enumerate()
-                .for_each(|(i, row)| f(i, row));
+                .for_each(|(i, tile)| f(i * tile_rows, tile));
         } else {
             self.data
-                .chunks_mut(self.cols)
+                .chunks_mut(span)
                 .enumerate()
-                .for_each(|(i, row)| f(i, row));
+                .for_each(|(i, tile)| f(i * tile_rows, tile));
         }
     }
 }
@@ -255,9 +257,10 @@ fn gemm_block(w: &Matrix, xs: &Matrix, m0: usize, out_rows: &mut [f32], n: usize
 
 /// 2×2 micro-kernel dispatch: the SSE2 variant when the `simd` feature
 /// is enabled on x86_64 (bitwise identical — see [`dot_kernel`]),
-/// [`dot2x2_scalar`] otherwise.
+/// [`dot2x2_scalar`] otherwise. Shared by the GEMM and the attention
+/// core's score tiles.
 #[inline]
-fn dot2x2(w0: &[f32], w1: &[f32], x0: &[f32], x1: &[f32]) -> [f32; 4] {
+pub(crate) fn dot2x2(w0: &[f32], w1: &[f32], x0: &[f32], x1: &[f32]) -> [f32; 4] {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
         crate::simd::dot2x2_f32(w0, w1, x0, x1)

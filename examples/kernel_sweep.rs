@@ -26,9 +26,10 @@ use llmib_bench::harness::{
     TrialConfig, TrialRun, TrialSet,
 };
 use llmib_engine::{
-    dot_kernel, kernel_backend, matmul_mat, matmul_vec, softmax_in_place, Matrix, OnlineSoftmax,
-    QuantizedLinear,
+    dot_kernel, kernel_backend, matmul_mat, matmul_vec, softmax_in_place, Attention, EngineConfig,
+    KvCache, Matrix, OnlineSoftmax, QuantMode, QuantizedLinear,
 };
+use llmib_models::ModelId;
 use llmib_perf::{HostRoofline, KernelBound, KernelShape};
 use serde_json::Value;
 use std::hint::black_box;
@@ -195,7 +196,12 @@ fn bench_flash(tc: &TrialConfig, heads: usize, d: usize, n: usize) -> (Measured,
                     scores.extend(
                         (pos..end).map(|p| dot_kernel(qh, &keys.row(p)[h * d..(h + 1) * d])),
                     );
-                    os.fold(&scores, oh, |i| &vals.row(pos + i)[h * d..(h + 1) * d]);
+                    os.fold(
+                        &mut scores,
+                        oh,
+                        &vals.data()[pos * heads * d + h * d..],
+                        heads * d,
+                    );
                     pos = end;
                 }
                 os.finish(oh);
@@ -245,6 +251,47 @@ fn bench_flash(tc: &TrialConfig, heads: usize, d: usize, n: usize) -> (Measured,
     (fused, ratios)
 }
 
+/// Cached positions and query rows of the attention-layer comparison:
+/// the repository benchmark's warm prefix-hit admission (a 64-token
+/// question after a 1024-token cached document).
+const LAYER_CONTEXT: usize = 1024;
+const LAYER_ROWS: usize = 64;
+
+/// One attention layer of the benchmark model (GQA, 4 query heads of
+/// width 16 over 1 KV head): a `LAYER_ROWS`-row [`Attention::prefill`],
+/// whose core scores each cached KV block once per tile of query rows,
+/// against `LAYER_ROWS` token-at-a-time [`Attention::forward`] calls,
+/// which score it once per row. Each trial times the pair back to back
+/// on clones of one `LAYER_CONTEXT`-position cache; returns the per-trial
+/// rowwise-over-prefill ratios.
+fn bench_prefill_attention(tc: &TrialConfig) -> TrialSet {
+    let cfg = EngineConfig {
+        max_seq: LAYER_CONTEXT + LAYER_ROWS,
+        ..EngineConfig::scaled_from(ModelId::Llama3_8b, 64, 7)
+    };
+    let attn = Attention::new(&cfg, 7, QuantMode::F32);
+    let mut cached = KvCache::new(1, cfg.kv_dim(), cfg.max_seq);
+    attn.prefill(
+        &Matrix::random(LAYER_CONTEXT, cfg.hidden, 41, 0.5),
+        0,
+        &mut cached,
+    );
+    let xs = Matrix::random(LAYER_ROWS, cfg.hidden, 42, 0.5);
+    run_trials(tc, |_seed| {
+        let mut cache = cached.clone();
+        let rowwise = time_seconds(|| {
+            for i in 0..LAYER_ROWS {
+                black_box(attn.forward(xs.row(i), LAYER_CONTEXT + i, 0, &mut cache));
+            }
+        });
+        let mut cache = cached.clone();
+        let tiled = time_seconds(|| {
+            black_box(attn.prefill(&xs, 0, &mut cache));
+        });
+        rowwise / tiled
+    })
+}
+
 fn main() {
     let backend = kernel_backend();
     let tc = trial_config();
@@ -262,6 +309,7 @@ fn main() {
     let (flash, flash_ratios) = bench_flash(&tc, 8, 64, 1024);
     let flash_speedup = flash_ratios.ci95();
     measured.push(flash);
+    let prefill_attention = bench_prefill_attention(&tc).ci95();
 
     // --- Roofline validation (the CI smoke assertion) ---
     let mut kernel_rows = Value::Object(Vec::new());
@@ -355,7 +403,8 @@ fn main() {
             CREATED_BY,
             &format!(
                 "w {N}x{N} (f32 / int8-block / int4-block, group 32), batch {BATCH}; \
-                 flash 8 heads x 64 over 1024 kv"
+                 flash 8 heads x 64 over 1024 kv; attention layer {LAYER_ROWS} rows \
+                 after {LAYER_CONTEXT} cached (GQA 4x16 over 1 kv head)"
             ),
         )
         .with_trials(&tc, &measured[0].set)
@@ -371,6 +420,10 @@ fn main() {
             "flash_vs_two_pass_speedup",
             &Metric::higher("ratio", flash_speedup),
         )
+        .metric(
+            "prefill_attention_vs_rowwise_c1024",
+            &Metric::higher("ratio", prefill_attention),
+        )
         .field(
             "speedup_baseline",
             Value::Str(match scalar_gemv_point {
@@ -385,6 +438,11 @@ fn main() {
     println!(
         "flash fused vs two-pass: {:.2}x [{:.2}, {:.2}]",
         flash_speedup.point, flash_speedup.lo, flash_speedup.hi
+    );
+    println!(
+        "attention prefill ({LAYER_ROWS} rows) vs rowwise forward at {LAYER_CONTEXT} cached: \
+         {:.2}x [{:.2}, {:.2}]",
+        prefill_attention.point, prefill_attention.lo, prefill_attention.hi
     );
     if let Value::Object(fields) = &speedups {
         for (k, v) in fields {

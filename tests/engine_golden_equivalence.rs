@@ -9,8 +9,8 @@
 //! kernel, so they match bitwise).
 
 use llmib_engine::{
-    generate, generate_speculative, BatchSession, EngineConfig, GenerateOptions, QuantMode,
-    Sampler, TransformerModel,
+    generate, generate_speculative, BatchSession, EngineConfig, GenerateOptions, KvCache,
+    QuantMode, Sampler, TransformerModel,
 };
 use proptest::prelude::*;
 
@@ -175,6 +175,86 @@ fn chunked_prefill_is_bitwise_identical_to_monolithic() {
                 tokens, mono_tokens,
                 "{name}: budget {budget} decode diverges after chunked prefill"
             );
+        }
+    }
+}
+
+/// Greedy-decode `steps` tokens from `logits` at position `pos` through
+/// the allocation-free workspace loop, returning every step's logits.
+fn greedy_tail(
+    model: &TransformerModel,
+    cache: &mut KvCache,
+    mut logits: Vec<f32>,
+    pos: usize,
+    steps: usize,
+) -> Vec<Vec<f32>> {
+    let mut ws = model.new_workspace();
+    let mut trail = Vec::new();
+    for p in pos..pos + steps {
+        let next = argmax(&logits);
+        trail.push(logits);
+        logits = model.forward_ws(next, p, cache, &mut ws).to_vec();
+    }
+    trail.push(logits);
+    trail
+}
+
+#[test]
+fn tiled_attention_branches_are_bitwise_identical() {
+    // Prefill attends in tiles of query rows. A KV block inside every
+    // row's window is scored once per tile; a sliding window's leading
+    // chunk and the diagonal chunk run per row. Prompts of 1, 15, 16,
+    // 17, 37 and 300 tokens land tiles before, on and after block
+    // boundaries and make long prompts fold many shared blocks; the
+    // 50-token continuation then starts mid-block after a cached prefix.
+    // A 37-token window starts mid-block inside tiles that still share
+    // whole blocks, which the 3-token window never does.
+    let mut variants = all_variants();
+    variants.push(("tiny_swa_37", EngineConfig::tiny_swa(37)));
+    for (name, cfg) in variants {
+        let cfg = EngineConfig {
+            max_seq: 400,
+            ..cfg
+        };
+        for mode in [QuantMode::F32, QuantMode::Int8, QuantMode::Int4] {
+            let model = TransformerModel::with_quant(cfg.clone(), mode).unwrap();
+            for len in [1usize, 15, 16, 17, 37, 300] {
+                let prompt: Vec<usize> = (0..len).map(|i| (i * 7 + 3) % cfg.vocab).collect();
+                let cont: Vec<usize> = (0..50).map(|i| (i * 11 + 5) % cfg.vocab).collect();
+                let at = format!("{name} {mode:?} len {len}");
+                let end = len + cont.len();
+
+                let mut ref_cache = model.new_cache();
+                let ref_prompt = model.prefill_unbatched(&prompt, &mut ref_cache);
+                let ref_cont = model.prefill_unbatched(&cont, &mut ref_cache);
+                let ref_tail = greedy_tail(&model, &mut ref_cache, ref_cont.clone(), end, 6);
+
+                let mut cache = model.new_cache();
+                assert_eq!(
+                    model.prefill(&prompt, &mut cache),
+                    ref_prompt,
+                    "{at}: prompt"
+                );
+                let mono_cont = model.prefill(&cont, &mut cache);
+                assert_eq!(mono_cont, ref_cont, "{at}: continuation");
+                let tail = greedy_tail(&model, &mut cache, mono_cont, end, 6);
+                assert_eq!(tail, ref_tail, "{at}: decode after prefill");
+
+                for budget in [1usize, 7, 8, 9, 64] {
+                    let mut cache = model.new_cache();
+                    let mut last = Vec::new();
+                    for chunk in prompt.chunks(budget) {
+                        last = model.prefill(chunk, &mut cache);
+                    }
+                    assert_eq!(last, ref_prompt, "{at}: budget {budget} prompt");
+                    for chunk in cont.chunks(budget) {
+                        last = model.prefill(chunk, &mut cache);
+                    }
+                    assert_eq!(last, ref_cont, "{at}: budget {budget} continuation");
+                    let tail = greedy_tail(&model, &mut cache, last, end, 6);
+                    assert_eq!(tail, ref_tail, "{at}: budget {budget} decode");
+                }
+            }
         }
     }
 }

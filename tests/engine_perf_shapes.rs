@@ -12,21 +12,26 @@
 //! development container (see `BENCH_engine.json`) so scheduler noise
 //! does not flake the suite; the mechanisms themselves are asserted
 //! exactly (golden equivalence) in `engine_golden_equivalence.rs`.
+//!
+//! Every claim is a ratio of two timings measured as interleaved
+//! pairs: each pair times the baseline, then the contender, and the
+//! check reads the median of the per-pair ratios. A slow window on a
+//! shared host then slows both sides of a pair instead of one side's
+//! whole batch of timings.
 
+use llmib_bench::harness::{run_trials, time_seconds, TrialConfig};
 use llmib_engine::{BatchSession, EngineConfig, Sampler, TransformerModel};
-use std::time::Instant;
 
-/// Median wall-clock seconds over `runs` invocations of `f`.
-fn time_median<F: FnMut()>(runs: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+/// Median over `pairs` interleaved trials of `time(baseline) /
+/// time(contender)`, after one discarded warmup pair: how many times
+/// faster the contender runs.
+fn paired_speedup(pairs: usize, mut baseline: impl FnMut(), mut contender: impl FnMut()) -> f64 {
+    run_trials(&TrialConfig::new(pairs, 1, 0), |_| {
+        let base = time_seconds(&mut baseline);
+        base / time_seconds(&mut contender)
+    })
+    .ci95()
+    .point
 }
 
 #[test]
@@ -44,15 +49,17 @@ fn batched_prefill_beats_gemv_loop_on_long_prompt() {
     let model = TransformerModel::new(cfg.clone(), false).unwrap();
     let prompt: Vec<usize> = (0..256).map(|i| (i * 7 + 3) % cfg.vocab).collect();
 
-    let gemm_s = time_median(5, || {
-        let mut cache = model.new_cache();
-        std::hint::black_box(model.prefill(&prompt, &mut cache));
-    });
-    let gemv_s = time_median(5, || {
-        let mut cache = model.new_cache();
-        std::hint::black_box(model.prefill_unbatched(&prompt, &mut cache));
-    });
-    let speedup = gemv_s / gemm_s;
+    let speedup = paired_speedup(
+        5,
+        || {
+            let mut cache = model.new_cache();
+            std::hint::black_box(model.prefill_unbatched(&prompt, &mut cache));
+        },
+        || {
+            let mut cache = model.new_cache();
+            std::hint::black_box(model.prefill(&prompt, &mut cache));
+        },
+    );
     assert!(
         speedup > 1.25,
         "batched prefill speedup {speedup:.2}x at tiny scale (want > 1.25x)"
@@ -63,15 +70,17 @@ fn batched_prefill_beats_gemv_loop_on_long_prompt() {
     let cfg = EngineConfig::scaled_from(llmib_models::ModelId::Llama2_7b, 128, 7);
     let model = TransformerModel::new(cfg.clone(), false).unwrap();
     let prompt: Vec<usize> = (0..128).map(|i| (i * 7 + 3) % cfg.vocab).collect();
-    let gemm_s = time_median(3, || {
-        let mut cache = model.new_cache();
-        std::hint::black_box(model.prefill(&prompt, &mut cache));
-    });
-    let gemv_s = time_median(3, || {
-        let mut cache = model.new_cache();
-        std::hint::black_box(model.prefill_unbatched(&prompt, &mut cache));
-    });
-    let speedup = gemv_s / gemm_s;
+    let speedup = paired_speedup(
+        3,
+        || {
+            let mut cache = model.new_cache();
+            std::hint::black_box(model.prefill_unbatched(&prompt, &mut cache));
+        },
+        || {
+            let mut cache = model.new_cache();
+            std::hint::black_box(model.prefill(&prompt, &mut cache));
+        },
+    );
     assert!(
         speedup > 1.6,
         "batched prefill speedup {speedup:.2}x at hidden=128 (want > 1.6x)"
@@ -86,34 +95,37 @@ fn prefill_throughput_exceeds_decode_throughput() {
     let model = TransformerModel::new(cfg.clone(), false).unwrap();
     let prompt: Vec<usize> = (0..128).map(|i| (i * 3 + 1) % cfg.vocab).collect();
 
-    let prefill_s = time_median(3, || {
-        let mut cache = model.new_cache();
-        std::hint::black_box(model.prefill(&prompt, &mut cache));
-    });
-    let prefill_tps = prompt.len() as f64 / prefill_s;
-
     let decode_tokens = 32usize;
-    let decode_s = time_median(3, || {
-        let mut cache = model.new_cache();
-        let mut ws = model.new_workspace();
-        let mut logits = model.prefill(&[1, 2, 3], &mut cache);
-        for pos in 3..3 + decode_tokens {
-            let next = logits
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i)
-                .unwrap();
-            let l = model.forward_ws(next, pos, &mut cache, &mut ws);
-            logits.clear();
-            logits.extend_from_slice(l);
-        }
-    });
-    let decode_tps = decode_tokens as f64 / decode_s;
+    // Per-token seconds: decode's over prefill's is how many times
+    // prefill's token rate exceeds decode's.
+    let prefill_advantage = paired_speedup(
+        3,
+        || {
+            let mut cache = model.new_cache();
+            let mut ws = model.new_workspace();
+            let mut logits = model.prefill(&[1, 2, 3], &mut cache);
+            for pos in 3..3 + decode_tokens {
+                let next = logits
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.total_cmp(b.1))
+                    .map(|(i, _)| i)
+                    .unwrap();
+                let l = model.forward_ws(next, pos, &mut cache, &mut ws);
+                logits.clear();
+                logits.extend_from_slice(l);
+            }
+        },
+        || {
+            let mut cache = model.new_cache();
+            std::hint::black_box(model.prefill(&prompt, &mut cache));
+        },
+    ) * prompt.len() as f64
+        / decode_tokens as f64;
 
     assert!(
-        prefill_tps > decode_tps,
-        "prefill {prefill_tps:.0} tok/s should exceed decode {decode_tps:.0} tok/s"
+        prefill_advantage > 1.0,
+        "prefill token rate should exceed decode's (prefill/decode = {prefill_advantage:.2}x)"
     );
 }
 
@@ -126,24 +138,22 @@ fn batched_decode_aggregate_grows_with_batch_size() {
     let model = TransformerModel::new(cfg, false).unwrap();
     let new_tokens = 16usize;
 
-    let aggregate_tps = |batch: usize| {
-        let s = time_median(3, || {
-            let mut session = BatchSession::new(&model);
-            for i in 0..batch {
-                let p = [1 + i % 7, 2 + i % 5, 3];
-                session
-                    .admit(i as u64, &p, new_tokens, Sampler::Greedy)
-                    .expect("admit");
-            }
-            std::hint::black_box(session.run_to_completion());
-        });
-        (batch * new_tokens) as f64 / s
+    let run_batch = |batch: usize| {
+        let mut session = BatchSession::new(&model);
+        for i in 0..batch {
+            let p = [1 + i % 7, 2 + i % 5, 3];
+            session
+                .admit(i as u64, &p, new_tokens, Sampler::Greedy)
+                .expect("admit");
+        }
+        std::hint::black_box(session.run_to_completion());
     };
 
-    let tps1 = aggregate_tps(1);
-    let tps16 = aggregate_tps(16);
+    // Batch 16 emits 16x the tokens of batch 1 in one run, so its
+    // aggregate rate gain is 16 x t(batch 1) / t(batch 16).
+    let scaling = 16.0 * paired_speedup(3, || run_batch(1), || run_batch(16));
     assert!(
-        tps16 > 1.3 * tps1,
-        "batch-16 aggregate {tps16:.0} tok/s should beat batch-1 {tps1:.0} tok/s by > 1.3x"
+        scaling > 1.3,
+        "batch-16 aggregate tok/s should beat batch-1 by > 1.3x (got {scaling:.2}x)"
     );
 }
