@@ -10,7 +10,7 @@ use crate::attention::KvCache;
 use crate::blockpool::{BlockPool, PrefixCache, PrefixConfig, PrefixStats};
 use crate::model::TransformerModel;
 use crate::sampler::Sampler;
-use llmib_types::{Error, Result};
+use llmib_types::{usable_prefix_blocks, Error, Result};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -315,11 +315,10 @@ impl<'m> BatchSession<'m> {
             Some(prefix) => {
                 let mut cache = KvCache::in_pool(prefix.pool.clone(), self.model.config().max_seq);
                 let hit = prefix.trie.lookup(prompt);
-                // At least one prompt token must prefill so the final
-                // row's logits exist for sampling: a fully cached prompt
-                // drops its last block back to the cold path.
+                // A fully cached prompt drops its last block back to
+                // the cold path.
                 let bt = prefix.pool.block_tokens();
-                let usable = hit.len().min((prompt.len() - 1) / bt);
+                let usable = usable_prefix_blocks(hit.len(), prompt.len(), bt);
                 cache.adopt_prefix(&hit[..usable]);
                 (cache, usable * bt)
             }

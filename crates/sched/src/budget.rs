@@ -1,17 +1,19 @@
-//! Reservation-style KV budgeting over the `llmib-sched` allocators.
+//! Reservation-style KV budgeting over the allocators: the one KV
+//! ledger of both runtimes.
 //!
-//! The simulator can afford vLLM-style lazy over-commit because it can
-//! preempt a sequence and recompute it for free; the live engine cannot
-//! evict a sequence out of a running [`llmib_engine::BatchSession`], so
-//! the runtime admits conservatively instead: a sequence is admitted
-//! only if its *maximum* context (rounded up to whole blocks for the
-//! paged allocator) fits in the unreserved remainder of the pool. Under
-//! that discipline mid-decode appends can never fail, which is exactly
-//! the invariant the live scheduler needs. The underlying
-//! [`KvAllocator`] still does the token-level bookkeeping so utilization
-//! stats stay honest.
+//! The simulator's lazy FIFO path can afford vLLM-style over-commit
+//! because it can preempt a sequence and recompute it for free; the live
+//! engine cannot evict a sequence out of a running batch without
+//! replaying it, so reserved admission ([`crate::Admission`]) admits
+//! conservatively instead: a sequence is admitted only if its *maximum*
+//! context (rounded up to whole blocks for the paged allocator) fits in
+//! the unreserved remainder of the pool. Under that discipline
+//! mid-decode appends can never fail, which is exactly the invariant the
+//! live scheduler needs. The underlying [`KvAllocator`] still does the
+//! token-level bookkeeping so utilization stats stay honest; the lazy
+//! path reaches it through [`KvBudget::allocator`] and reserves nothing.
 
-use llmib_sched::{KvAllocator, MonolithicAllocator, PagedAllocator};
+use crate::allocator::{KvAllocator, MonolithicAllocator, PagedAllocator};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -37,7 +39,8 @@ impl fmt::Display for BudgetError {
 
 impl std::error::Error for BudgetError {}
 
-pub(crate) struct KvBudget {
+/// A KV pool plus the reservations admitted sequences hold against it.
+pub struct KvBudget {
     alloc: Box<dyn KvAllocator + Send>,
     capacity_tokens: u64,
     block_tokens: u64,
@@ -50,6 +53,8 @@ pub(crate) struct KvBudget {
 }
 
 impl KvBudget {
+    /// A pool of `capacity_tokens`: paged with `kv_block_tokens`-token
+    /// blocks when `Some`, monolithic otherwise.
     pub fn new(capacity_tokens: u64, kv_block_tokens: Option<u32>) -> Self {
         let (alloc, block_tokens): (Box<dyn KvAllocator + Send>, u64) = match kv_block_tokens {
             Some(b) => (
@@ -73,6 +78,11 @@ impl KvBudget {
     /// sequences already holding reservations are unaffected.
     pub fn set_pressure_factor(&mut self, factor: f64) {
         self.pressure_factor = factor.clamp(f64::MIN_POSITIVE, 1.0);
+    }
+
+    /// The fraction of the pool available to new admissions.
+    pub fn pressure_factor(&self) -> f64 {
+        self.pressure_factor
     }
 
     /// Whether admissions are currently throttled by memory pressure.
@@ -143,6 +153,12 @@ impl KvBudget {
     /// Fraction of the pool holding live tokens right now.
     pub fn utilization(&self) -> f64 {
         self.alloc.stats().utilization()
+    }
+
+    /// The allocator behind the ledger, for admission paths that append
+    /// lazily instead of reserving.
+    pub fn allocator(&mut self) -> &mut dyn KvAllocator {
+        self.alloc.as_mut()
     }
 
     /// Whether no sequence currently holds a reservation.

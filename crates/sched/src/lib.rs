@@ -43,17 +43,17 @@
 #![warn(missing_docs)]
 
 mod allocator;
+mod budget;
 mod overload;
 mod simulator;
 mod sweep;
 
 pub use allocator::{AllocStats, KvAllocator, MonolithicAllocator, PagedAllocator};
+pub use budget::{BudgetError, KvBudget};
 pub use llmib_types::{Priority, Request, RequestState};
 pub use overload::{
-    insert_by_priority, pick_victim, BrownoutConfig, BrownoutController, ClassCounters,
-    OverloadConfig,
+    insert_by_priority, pick_victim, Admission, AdmitExecutor, BatchingPolicy, BrownoutConfig,
+    BrownoutController, ClassCounters, OverloadConfig, OverloadCounters, Refusal, Ticket,
 };
-pub use simulator::{
-    ArrivalPattern, BatchingPolicy, ReplicatedReport, ServingReport, ServingSimulator, SimConfig,
-};
+pub use simulator::{ArrivalPattern, ReplicatedReport, ServingReport, ServingSimulator, SimConfig};
 pub use sweep::{LoadPoint, LoadSweep};

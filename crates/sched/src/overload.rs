@@ -1,14 +1,18 @@
-//! Overload-survival policy shared by both serving backends.
+//! Admission and overload-survival policy shared by both serving
+//! backends.
 //!
 //! The live `llmib-serve` scheduler and the discrete-event
-//! [`crate::ServingSimulator`] run the *same* overload machinery so
-//! their counters reconcile exactly on an identical trace:
+//! [`crate::ServingSimulator`] run the *same* admission pass,
+//! [`Admission::admit`], over the same [`KvBudget`] ledger, so their
+//! counters reconcile exactly on an identical trace. A backend is an
+//! [`AdmitExecutor`] that only differs in *what* it schedules (engine
+//! sequences vs. simulated requests).
 //!
 //! * **Priority preemption** — when a higher-class request cannot
-//!   reserve KV, the scheduler evicts the youngest running sequence of
-//!   the lowest class strictly below the preemptor's and re-admits it
-//!   later by prefix replay (its generated tokens fold into the prompt,
-//!   vLLM recompute-on-preempt style). Greedy decode through one shared
+//!   reserve KV, the pass evicts the youngest running sequence of the
+//!   lowest class strictly below the preemptor's and re-admits it later
+//!   by prefix replay (its generated tokens fold into the prompt, vLLM
+//!   recompute-on-preempt style). Greedy decode through one shared
 //!   kernel is independent of batch composition, so the resumed stream
 //!   is bitwise identical to an uncontended run.
 //! * **Brownout** — a deterministic degradation ladder driven by
@@ -16,14 +20,35 @@
 //!   hysteresis (no wall clock, so the simulator replays it exactly):
 //!   level 1 clamps `max_new_tokens` for best-effort admissions, level
 //!   2 additionally sheds queued best-effort requests outright.
-//!
-//! Victim selection, the degradation ladder and every counter live
-//! here; the backends only differ in *what* they schedule (real engine
-//! steps vs. simulated clock advances).
 
+use crate::budget::KvBudget;
 use llmib_types::Priority;
 use serde::Serialize;
 use std::collections::VecDeque;
+
+/// How requests are admitted into the running batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum BatchingPolicy {
+    /// Orca/vLLM-style continuous batching: new requests join at any
+    /// decode-step boundary (§IV-A1: "new requests of variable length can
+    /// be processed without waiting for the previous batch").
+    Continuous,
+    /// Static batching: a batch runs to completion before the next is
+    /// admitted (llama.cpp-style).
+    Static,
+}
+
+impl BatchingPolicy {
+    /// Whether an admission pass may run while `held` sequences hold a
+    /// batch slot (decoding or still prefilling): a static batch admits
+    /// only once the previous wave has fully drained.
+    pub fn may_admit(self, held: usize) -> bool {
+        match self {
+            BatchingPolicy::Continuous => true,
+            BatchingPolicy::Static => held == 0,
+        }
+    }
+}
 
 /// Brownout controller knobs. Disabled by default; both backends run
 /// the identical controller when enabled.
@@ -262,6 +287,222 @@ impl ClassCounters {
     /// Total brownout sheds across classes.
     pub fn total_shed(&self) -> u32 {
         self.shed.iter().sum()
+    }
+}
+
+/// Overload-layer counters of one serving run: per-reason rejections
+/// beyond oversize/deadline, plus the preemption and brownout mechanism
+/// tallies with their per-priority-class breakdowns. The admission pass
+/// fills the same block in both backends, so the overload
+/// reconciliation suite asserts exact equality between the live runtime
+/// and the simulator on an identical trace. All zero when
+/// [`OverloadConfig`] is fully disabled.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct OverloadCounters {
+    /// Rejections because an ingress queue was full. Router-observed in
+    /// a pool (a replica's bounded queue refused a dispatch); always 0
+    /// on a standalone server, where queue-full refusals resolve
+    /// synchronously at submit time.
+    pub rejected_queue_full: u32,
+    /// Scheduler-internal rejections: an admission failure after intake
+    /// screening, or a submission racing the final shutdown drain.
+    pub rejected_internal: u32,
+    /// Queued best-effort requests shed outright by brownout level 2.
+    pub shed_brownout: u32,
+    /// Running sequences preempted — evicted mid-decode and re-queued
+    /// for prefix-replay re-admission — to make room for a higher
+    /// class.
+    pub preemptions: u32,
+    /// Tokens already streamed at preemption time, folded into the
+    /// replay prompt and re-prefilled on re-admission (the
+    /// preemption-cost currency).
+    pub replayed_tokens: u64,
+    /// Decode steps executed while the brownout level was degraded.
+    pub brownout_steps: u64,
+    /// Per-priority-class completion / preemption / replay / shed
+    /// breakdowns.
+    pub per_class: ClassCounters,
+}
+
+/// A queued request as the admission pass sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct Ticket {
+    /// Request id (the ledger key).
+    pub id: u64,
+    /// Scheduling class.
+    pub priority: Priority,
+    /// Prompt tokens of this admission (a replay's include its streamed
+    /// tokens).
+    pub prompt_tokens: u32,
+    /// Requested generation budget of this admission.
+    pub max_new_tokens: u32,
+    /// A preempted request re-entering by prefix replay: its budget is
+    /// never clamped and it is never brownout-shed, so its stream stays
+    /// bitwise identical to an uncontended run.
+    pub replay: bool,
+}
+
+/// Why the admission pass resolved a queued request without serving it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// Shed by brownout level 2.
+    Brownout,
+    /// Fits no pool: it failed to reserve even on an idle, unpressured
+    /// pool, which can never improve.
+    Oversized,
+    /// The executor refused to start it after its reservation was made.
+    Internal,
+}
+
+/// One runtime's side of the admission pass: its queued entries, the
+/// sequences holding batch slots, and three actions. The live scheduler
+/// starts engine sequences; the simulator moves request indices between
+/// its queues.
+pub trait AdmitExecutor {
+    /// A queued request.
+    type Entry;
+
+    /// What the pass needs to know about a queued entry.
+    fn ticket(&self, entry: &Self::Entry) -> Ticket;
+
+    /// Sequences holding a batch slot: decoding, started by this pass,
+    /// and still prefilling (they hold reservations and slots-to-be).
+    fn held(&self) -> usize;
+
+    /// Preemption candidates as `(id, class, admission sequence
+    /// number)`.
+    fn residents(&self) -> impl Iterator<Item = (u64, Priority, u64)> + '_;
+
+    /// Start `entry` with the (possibly clamped) budget `max_new` and
+    /// admission sequence number `seq`; its reservation is already made.
+    /// Hand the entry back if it cannot start.
+    fn start(&mut self, entry: Self::Entry, max_new: u32, seq: u64) -> Result<(), Self::Entry>;
+
+    /// Evict resident `id` and return its replay entry — its streamed
+    /// tokens folded into the prompt and taken off its remaining budget,
+    /// marked as a replay — with the number of tokens folded.
+    fn evict(&mut self, id: u64) -> (Self::Entry, u32);
+
+    /// Resolve an entry the pass refused; the pass drops it afterwards.
+    fn refuse(&mut self, entry: &Self::Entry, why: Refusal);
+}
+
+/// One replica's admission state — the brownout ladder and the overload
+/// counters — and the one reserved admission pass both runtimes call at
+/// every step boundary, over the replica's [`KvBudget`].
+pub struct Admission {
+    /// The brownout ladder (a no-op while disabled).
+    pub brownout: BrownoutController,
+    /// What the pass did.
+    pub counters: OverloadCounters,
+    policy: BatchingPolicy,
+    preemption: bool,
+    /// Monotone admission counter (replays included): the youngest-victim
+    /// tie-break of [`pick_victim`].
+    next_seq: u64,
+    /// The last pass left an arrived request unadmitted for want of KV,
+    /// even after preemption: the brownout starvation signal.
+    starved: bool,
+}
+
+impl Admission {
+    /// Fresh admission state under `policy` and `overload`.
+    pub fn new(policy: BatchingPolicy, overload: OverloadConfig) -> Self {
+        Self {
+            brownout: BrownoutController::new(overload.brownout),
+            counters: OverloadCounters::default(),
+            policy,
+            preemption: overload.preemption,
+            next_seq: 0,
+            starved: false,
+        }
+    }
+
+    /// Feed the last pass's starvation sample to the brownout ladder;
+    /// call once per completed decode step.
+    pub fn observe_step(&mut self) {
+        self.brownout.observe_step(self.starved);
+    }
+
+    /// Admit from the priority-ordered `queue` while the batching policy,
+    /// the concurrency cap `cap` and the (pressure-shrunk) reservation
+    /// `budget` allow. Brownout level 2 first sheds queued best-effort first
+    /// admissions; level 1 clamps their budgets. A reservation failure
+    /// preempts the victim [`pick_victim`] names (with preemption on) and
+    /// retries the same front; an idle, unpressured pool that still
+    /// cannot hold the front refuses it as oversized. Allocates nothing
+    /// unless it admits or preempts.
+    pub fn admit<E: AdmitExecutor>(
+        &mut self,
+        budget: &mut KvBudget,
+        queue: &mut VecDeque<E::Entry>,
+        exec: &mut E,
+        cap: usize,
+    ) {
+        self.starved = false;
+        if !self.policy.may_admit(exec.held()) {
+            return;
+        }
+        if self.brownout.level() >= BrownoutController::MAX_LEVEL {
+            queue.retain(|entry| {
+                let t = exec.ticket(entry);
+                let shed = !t.replay && self.brownout.should_shed(t.priority);
+                if shed {
+                    self.counters.shed_brownout += 1;
+                    self.counters.per_class.shed[t.priority.index()] += 1;
+                    exec.refuse(entry, Refusal::Brownout);
+                }
+                !shed
+            });
+        }
+        while exec.held() < cap {
+            let Some(front) = queue.front() else { break };
+            let t = exec.ticket(front);
+            let max_new = if t.replay {
+                t.max_new_tokens
+            } else {
+                self.brownout
+                    .clamp_max_new(t.priority, t.max_new_tokens as usize) as u32
+            };
+            if !budget.try_admit(t.id, t.prompt_tokens + max_new, t.prompt_tokens) {
+                // Preempt the victim below the front's class, then retry
+                // the front against the freed reservation.
+                let victim = if self.preemption {
+                    pick_victim(exec.residents(), t.priority, |&(_, c, s)| (c, s))
+                } else {
+                    None
+                };
+                if let Some((id, class, _)) = victim {
+                    let (entry, replayed) = exec.evict(id);
+                    budget.release(id);
+                    let (class, replayed) = (class.index(), u64::from(replayed));
+                    self.counters.preemptions += 1;
+                    self.counters.per_class.preemptions[class] += 1;
+                    self.counters.per_class.replayed_tokens[class] += replayed;
+                    self.counters.replayed_tokens += replayed;
+                    insert_by_priority(queue, entry, |e| exec.ticket(e).priority);
+                    continue;
+                }
+                // Under memory pressure the pool grows back when the
+                // window expires, so the idle refusal must not fire.
+                if exec.held() == 0 && budget.is_idle() && !budget.under_pressure() {
+                    let entry = queue.pop_front().expect("front exists");
+                    exec.refuse(&entry, Refusal::Oversized);
+                    continue;
+                }
+                self.starved = true;
+                break;
+            }
+            let entry = queue.pop_front().expect("front exists");
+            match exec.start(entry, max_new, self.next_seq + 1) {
+                Ok(()) => self.next_seq += 1,
+                Err(entry) => {
+                    budget.release(t.id);
+                    self.counters.rejected_internal += 1;
+                    exec.refuse(&entry, Refusal::Internal);
+                }
+            }
+        }
     }
 }
 

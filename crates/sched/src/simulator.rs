@@ -1,30 +1,19 @@
 //! The discrete-event serving loop.
 
-use crate::allocator::{KvAllocator, MonolithicAllocator, PagedAllocator};
+use crate::budget::KvBudget;
 use crate::overload::{
-    insert_by_priority, pick_victim, BrownoutController, ClassCounters, OverloadConfig,
+    insert_by_priority, Admission, AdmitExecutor, BatchingPolicy, ClassCounters, OverloadConfig,
+    Refusal, Ticket,
 };
 use llmib_perf::ResolvedScenario;
 use llmib_types::{
-    stats, FaultKind, FaultPlan, ItlSummary, LatencySample, Priority, ReplicaFaultPlan, ReplicaId,
-    ReplicaRole, Request, RequestState, RetryPolicy, Seconds,
+    stats, usable_prefix_blocks, FaultKind, FaultPlan, ItlSummary, LatencySample, Priority,
+    ReplicaFaultPlan, ReplicaId, ReplicaRole, Request, RequestState, RetryPolicy, Seconds,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::collections::VecDeque;
-
-/// How requests are admitted into the running batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum BatchingPolicy {
-    /// Orca/vLLM-style continuous batching: new requests join at any
-    /// decode-step boundary (§IV-A1: "new requests of variable length can
-    /// be processed without waiting for the previous batch").
-    Continuous,
-    /// Static batching: a batch runs to completion before the next is
-    /// admitted (llama.cpp-style).
-    Static,
-}
 
 /// Request arrival process.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -169,12 +158,13 @@ pub struct ReplicatedReport {
 }
 
 /// One simulated replica: the mirror of one live `llmib-serve`
-/// scheduler thread, with its own clock, KV pool, queues, fault cursor,
-/// pressure window, reservation ledger and brownout ladder.
+/// scheduler thread, with its own clock, KV ledger, admission state,
+/// queues, fault cursor and pressure window.
 struct Rep {
     now: Seconds,
     decode_steps: u64,
-    alloc: Box<dyn KvAllocator>,
+    budget: KvBudget,
+    admission: Admission,
     /// Requests waiting for admission, in arrival order. Under overload
     /// admission only not-yet-arrived requests wait here: intake moves
     /// arrivals on to `ready`.
@@ -190,13 +180,8 @@ struct Rep {
     /// Index of the next not-yet-activated event of `plan`.
     next_event: usize,
     poisoned: Vec<u64>,
-    /// Active memory-pressure window: `(capacity factor, decode steps
-    /// left)`.
-    pressure: Option<(f64, u64)>,
-    /// KV tokens reserved by admitted sequences — the live `KvBudget`
-    /// ledger (overload admission only; zero otherwise).
-    reserved: u64,
-    brownout: BrownoutController,
+    /// Decode steps left in the ledger's memory-pressure window.
+    pressure_steps: u64,
     dead: bool,
     completed: u32,
 }
@@ -208,12 +193,6 @@ impl Rep {
             || !self.prefilling.is_empty()
             || !self.running.is_empty()
     }
-
-    /// Return `idx`'s KV blocks and its reservation to this replica.
-    fn release(&mut self, flights: &Flights, idx: usize) {
-        self.alloc.release(flights.requests[idx].id);
-        self.reserved -= flights.cost_of[idx];
-    }
 }
 
 /// The trace under simulation plus the state every replica step
@@ -221,12 +200,9 @@ impl Rep {
 /// are addressed by their index in arrival order.
 struct Flights {
     requests: Vec<Request>,
-    /// Reservation each admitted request holds (overload admission).
-    cost_of: Vec<u64>,
     /// Admission sequence number of each request (replays included) —
     /// the youngest-victim tie-break both backends share.
     seq_of: Vec<u64>,
-    next_seq: u64,
     /// Whether a request re-enters as a replay: it keeps its remaining
     /// budget (never clamped) and is never brownout-shed.
     replay: Vec<bool>,
@@ -258,24 +234,10 @@ struct Tally {
     prefill_chunks: u64,
     prefix_hits: u32,
     saved_prefill_tokens: u64,
-    replayed_tokens: u64,
-    brownout_sheds: u32,
-    per_class: ClassCounters,
     failovers: u32,
     migrations: u32,
     migrated_tokens: u64,
     disagg_handoffs: u32,
-}
-
-/// Block-aligned shared-prefix tokens a prefix-cache hit can skip for
-/// `req`: full shared blocks, capped so at least one suffix token is
-/// always prefilled — the engine's usable-hit rule
-/// (`min(hit_blocks, (prompt - 1) / bt) * bt`) verbatim.
-fn aligned_prefix(req: &Request, block_tokens: u32) -> u32 {
-    let bt = block_tokens;
-    let full = req.shared_prefix_tokens / bt;
-    let cap = (req.prompt_tokens - 1) / bt;
-    full.min(cap) * bt
 }
 
 /// Fold `req`'s generated tokens into its prompt as a replay prefill
@@ -288,6 +250,74 @@ fn fold_into_prompt(req: &mut Request) -> u32 {
     req.generated = 0;
     req.state = RequestState::Queued;
     generated
+}
+
+/// The simulator's side of the shared admission pass: request indices
+/// move from a replica's ready queue into `admitted`.
+struct SimAdmit<'a> {
+    running: &'a mut Vec<usize>,
+    prefilling: usize,
+    poisoned: &'a mut Vec<u64>,
+    f: &'a mut Flights,
+    admitted: Vec<(usize, u32)>,
+}
+
+impl AdmitExecutor for SimAdmit<'_> {
+    type Entry = usize;
+
+    fn ticket(&self, &idx: &usize) -> Ticket {
+        let r = &self.f.requests[idx];
+        Ticket {
+            id: r.id,
+            priority: r.priority,
+            prompt_tokens: r.prompt_tokens,
+            max_new_tokens: r.output_tokens,
+            replay: self.f.replay[idx],
+        }
+    }
+
+    fn held(&self) -> usize {
+        self.running.len() + self.prefilling + self.admitted.len()
+    }
+
+    /// Decoding sequences only: unlike the live scheduler, the
+    /// simulator never picks a still-prefilling sequence as a victim.
+    fn residents(&self) -> impl Iterator<Item = (u64, Priority, u64)> + '_ {
+        self.running.iter().map(|&idx| {
+            let r = &self.f.requests[idx];
+            (r.id, r.priority, self.f.seq_of[idx])
+        })
+    }
+
+    fn start(&mut self, idx: usize, max_new: u32, seq: u64) -> Result<(), usize> {
+        self.f.requests[idx].output_tokens = max_new;
+        self.f.seq_of[idx] = seq;
+        self.admitted
+            .push((idx, self.f.requests[idx].prompt_tokens));
+        Ok(())
+    }
+
+    fn evict(&mut self, id: u64) -> (usize, u32) {
+        let requests = &self.f.requests;
+        let pos = self
+            .running
+            .iter()
+            .position(|&idx| requests[idx].id == id)
+            .expect("victim is running");
+        let idx = self.running.swap_remove(pos);
+        // Eviction for any reason cancels a pending poison — the live
+        // injector's `evict` contract.
+        self.poisoned.retain(|&p| p != id);
+        self.f.replay[idx] = true;
+        (idx, fold_into_prompt(&mut self.f.requests[idx]))
+    }
+
+    fn refuse(&mut self, &idx: &usize, why: Refusal) {
+        match why {
+            Refusal::Brownout => self.f.requests[idx].state = RequestState::Rejected,
+            Refusal::Oversized | Refusal::Internal => self.f.reject(idx),
+        }
+    }
 }
 
 /// Keep a replica queue sorted by arrival so front-gated admission
@@ -350,14 +380,13 @@ impl ServingSimulator {
         self
     }
 
-    /// Enable the overload-survival mirror: priority-ordered admission
-    /// with the live runtime's *reservation* discipline (max context
-    /// rounded up to blocks, charged against the pool upfront — the
-    /// exact `KvBudget` arithmetic), priority preemption by eviction
-    /// with prefix-replay re-admission, and the shared
-    /// [`BrownoutController`] ladder. Counters then reconcile exactly
-    /// with an `llmib-serve` run of the same trace. Prefix caching is
-    /// not modeled in this mode (the live budget charges full prompts).
+    /// Enable reserved admission: arrivals enter a priority-ordered
+    /// queue served by the live runtime's own admission pass,
+    /// [`Admission::admit`] (KV reservation, priority preemption with
+    /// prefix-replay re-admission, the brownout ladder), so counters
+    /// reconcile exactly with an `llmib-serve` run of the same trace.
+    /// Prefix caching is not modeled in this mode (the budget charges
+    /// full prompts).
     ///
     /// Returns [`OverloadConfig::validate`]'s error for an invalid
     /// configuration.
@@ -447,18 +476,16 @@ impl ServingSimulator {
         let n = requests.len();
         let mut f = Flights {
             requests,
-            cost_of: vec![0; n],
             seq_of: vec![0; n],
-            next_seq: 0,
             replay: vec![false; n],
             tally: Tally::default(),
         };
-        let brownout = self.overload.map(|o| o.brownout).unwrap_or_default();
         let mut reps: Vec<Rep> = (0..roles.len() as u32)
             .map(|r| Rep {
                 now: Seconds::ZERO,
                 decode_steps: 0,
-                alloc: self.new_alloc(),
+                budget: KvBudget::new(self.config.kv_capacity_tokens, self.config.kv_block_tokens),
+                admission: Admission::new(self.config.policy, self.overload.unwrap_or_default()),
                 queue: VecDeque::new(),
                 ready: VecDeque::new(),
                 prefilling: VecDeque::new(),
@@ -466,9 +493,7 @@ impl ServingSimulator {
                 plan: plan.plan_for(ReplicaId(r)),
                 next_event: 0,
                 poisoned: Vec::new(),
-                pressure: None,
-                reserved: 0,
-                brownout: BrownoutController::new(brownout),
+                pressure_steps: 0,
                 dead: false,
                 completed: 0,
             })
@@ -523,7 +548,7 @@ impl ServingSimulator {
                         continue;
                     }
                     reps[r].running.swap_remove(i);
-                    reps[r].release(&f, idx);
+                    reps[r].budget.release(f.requests[idx].id);
                     fold_into_prompt(&mut f.requests[idx]);
                     match next_replica(&reps, &mut handoff_rr, |t| roles[t].accepts_decode()) {
                         Some(t) => {
@@ -544,13 +569,6 @@ impl ServingSimulator {
             migrated_tokens: f.tally.migrated_tokens,
             disagg_handoffs: f.tally.disagg_handoffs,
             per_replica_completed: reps.iter().map(|rep| rep.completed).collect(),
-        }
-    }
-
-    fn new_alloc(&self) -> Box<dyn KvAllocator> {
-        match self.config.kv_block_tokens {
-            Some(b) => Box::new(PagedAllocator::new(self.config.kv_capacity_tokens, b)),
-            None => Box::new(MonolithicAllocator::new(self.config.kv_capacity_tokens)),
         }
     }
 
@@ -580,7 +598,7 @@ impl ServingSimulator {
                         // The live supervisor exhausts its retry budget
                         // and fails the whole stuck batch.
                         for idx in std::mem::take(&mut rep.running) {
-                            rep.release(f, idx);
+                            rep.budget.release(f.requests[idx].id);
                             f.fail(idx);
                         }
                     } else {
@@ -594,7 +612,11 @@ impl ServingSimulator {
                 FaultKind::MemoryPressure {
                     capacity_factor,
                     steps,
-                } => rep.pressure = Some((capacity_factor.clamp(0.01, 1.0), steps.max(1))),
+                } => {
+                    rep.budget
+                        .set_pressure_factor(capacity_factor.clamp(0.01, 1.0));
+                    rep.pressure_steps = steps.max(1);
+                }
                 FaultKind::SchedulerPanic => {
                     // The ledger and pool die with the scheduler.
                     rep.dead = true;
@@ -621,7 +643,7 @@ impl ServingSimulator {
                 if let Some(pos) = rep.poisoned.iter().position(|&p| p == f.requests[idx].id) {
                     rep.poisoned.swap_remove(pos);
                     rep.running.swap_remove(i);
-                    rep.release(f, idx);
+                    rep.budget.release(f.requests[idx].id);
                     f.fail(idx);
                 } else {
                     i += 1;
@@ -629,15 +651,35 @@ impl ServingSimulator {
             }
         }
 
-        // --- Admission ---
-        let may_admit = match self.config.policy {
-            BatchingPolicy::Continuous => true,
-            BatchingPolicy::Static => rep.running.is_empty(),
-        };
-        let (admitted, starved) = match &self.overload {
-            None if may_admit => (self.admit_fifo(rep, f), false),
-            None => (Vec::new(), false),
-            Some(overload) => self.admit_reserved(rep, f, overload, may_admit),
+        // --- Admission: lazy FIFO, or intake + the shared pass ---
+        let held = rep.running.len() + rep.prefilling.len();
+        let admitted = match self.overload {
+            None if self.config.policy.may_admit(held) => self.admit_fifo(rep, f),
+            None => Vec::new(),
+            Some(_) => {
+                while let Some(&idx) = rep.queue.front() {
+                    if f.requests[idx].arrival.value() > rep.now.value() {
+                        break;
+                    }
+                    rep.queue.pop_front();
+                    if rep.budget.fits_ever(f.requests[idx].max_context()) {
+                        insert_by_priority(&mut rep.ready, idx, |&q| f.requests[q].priority);
+                    } else {
+                        f.reject(idx);
+                    }
+                }
+                let mut exec = SimAdmit {
+                    running: &mut rep.running,
+                    prefilling: rep.prefilling.len(),
+                    poisoned: &mut rep.poisoned,
+                    f,
+                    admitted: Vec::new(),
+                };
+                let cap = self.config.max_concurrency as usize;
+                rep.admission
+                    .admit(&mut rep.budget, &mut rep.ready, &mut exec, cap);
+                exec.admitted
+            }
         };
         if !admitted.is_empty() {
             if self.chunk_budget.is_some() {
@@ -714,7 +756,7 @@ impl ServingSimulator {
         let mut i = 0;
         while i < rep.running.len() {
             let idx = rep.running[i];
-            if rep.alloc.append(f.requests[idx].id, 1).is_ok() {
+            if rep.budget.append_one(f.requests[idx].id).is_ok() {
                 let r = &mut f.requests[idx];
                 r.generated += 1;
                 // Only when absent: a migrated or replayed request keeps
@@ -727,13 +769,13 @@ impl ServingSimulator {
                 // Reservation makes appends infallible; a failure is the
                 // accounting bug the live runtime fails per request.
                 rep.running.swap_remove(i);
-                rep.release(f, idx);
+                rep.budget.release(f.requests[idx].id);
                 f.fail(idx);
             } else {
                 // Pool exhausted: preempt the most recently admitted
                 // sequence (vLLM recompute-style) and retry the append.
                 let victim = rep.running.pop().expect("running is non-empty");
-                rep.release(f, victim);
+                rep.budget.release(f.requests[victim].id);
                 if rep.running.is_empty() && victim == idx {
                     // It had the whole pool to itself and still ran
                     // out: it can never finish, and requeueing would
@@ -750,15 +792,16 @@ impl ServingSimulator {
             }
         }
 
-        f.tally.peak_util = f.tally.peak_util.max(rep.alloc.stats().utilization());
+        f.tally.peak_util = f.tally.peak_util.max(rep.budget.utilization());
         // A pressure window lasts `steps` decode steps, the live
         // injector's countdown.
-        if let Some((factor, steps)) = rep.pressure {
-            rep.pressure = (steps > 1).then_some((factor, steps - 1));
+        rep.pressure_steps = rep.pressure_steps.saturating_sub(1);
+        if rep.pressure_steps == 0 {
+            rep.budget.set_pressure_factor(1.0);
         }
         // One starvation sample per completed decode step — the shared
         // ladder both backends drive identically.
-        rep.brownout.observe_step(starved);
+        rep.admission.observe_step();
 
         // --- Completions ---
         let (done, running): (Vec<usize>, Vec<usize>) = std::mem::take(&mut rep.running)
@@ -766,7 +809,7 @@ impl ServingSimulator {
             .partition(|&idx| f.requests[idx].generated >= f.requests[idx].output_tokens);
         rep.running = running;
         for idx in done {
-            rep.release(f, idx);
+            rep.budget.release(f.requests[idx].id);
             let r = &mut f.requests[idx];
             r.state = RequestState::Finished;
             r.finished_at = Some(rep.now);
@@ -777,10 +820,12 @@ impl ServingSimulator {
 
     /// Lazy-append FIFO admission: admit the arrived queue front while
     /// the concurrency cap, the pool and any pressure window allow,
-    /// charging only the prompt (minus a prefix-cache hit) upfront.
-    /// Returns each admission with its cold prefill tokens.
+    /// charging only the prompt (minus a prefix-cache hit) upfront and
+    /// reserving nothing. Returns each admission with its cold prefill
+    /// tokens.
     fn admit_fifo(&self, rep: &mut Rep, f: &mut Flights) -> Vec<(usize, u32)> {
         let mut admitted = Vec::new();
+        let budget = &mut rep.budget;
         // Pending (still-prefilling) sequences count against the
         // concurrency cap, exactly like the live scheduler.
         while rep.running.len() + rep.prefilling.len() + admitted.len()
@@ -793,14 +838,12 @@ impl ServingSimulator {
             }
             // Under a memory-pressure window the pool is temporarily
             // shrunk: hold admissions that would push utilization past
-            // the factor (existing sequences are unaffected, exactly
-            // like the live KvBudget).
-            if let Some((factor, _)) = rep.pressure {
-                if rep.alloc.stats().utilization() >= factor {
-                    break;
-                }
+            // the factor (existing sequences are unaffected).
+            if budget.under_pressure() && budget.utilization() >= budget.pressure_factor() {
+                break;
             }
-            if !rep.alloc.can_admit(req.max_context()) {
+            let alloc = budget.allocator();
+            if !alloc.can_admit(req.max_context()) {
                 break;
             }
             // Prefix-cache model (paged pools only, mirroring the live
@@ -810,33 +853,30 @@ impl ServingSimulator {
             // everything and makes the prefix resident; later sharers
             // skip it.
             let aligned = match self.config.kv_block_tokens {
-                Some(bt) if req.shared_prefix_tokens > 0 => aligned_prefix(req, bt),
+                Some(bt) if req.shared_prefix_tokens > 0 => {
+                    let (hit, prompt) = (req.shared_prefix_tokens / bt, req.prompt_tokens);
+                    usable_prefix_blocks(hit as usize, prompt as usize, bt as usize) as u32 * bt
+                }
                 _ => 0,
             };
             let key = u64::from(req.shared_prefix_tokens);
-            let cached = if aligned > 0 && rep.alloc.shared_resident(key) {
+            let cached = if aligned > 0 && alloc.shared_resident(key) {
                 aligned
             } else {
                 0
             };
-            if rep.alloc.admit(req.id, req.max_context()).is_err() {
+            if alloc.admit(req.id, req.max_context()).is_err() {
                 break;
             }
-            if aligned > 0
-                && cached == 0
-                && rep.alloc.acquire_shared(key, u64::from(aligned)).is_err()
+            if aligned > 0 && cached == 0 && alloc.acquire_shared(key, u64::from(aligned)).is_err()
             {
-                rep.alloc.release(req.id);
+                alloc.release(req.id);
                 break;
             }
             // Prefill KV lands immediately on admission; the shared
             // part is already accounted in the ledger.
-            if rep
-                .alloc
-                .append(req.id, req.prompt_tokens - aligned)
-                .is_err()
-            {
-                rep.alloc.release(req.id);
+            if alloc.append(req.id, req.prompt_tokens - aligned).is_err() {
+                alloc.release(req.id);
                 break;
             }
             if cached > 0 {
@@ -849,155 +889,22 @@ impl ServingSimulator {
         admitted
     }
 
-    /// Overload admission, the live `Scheduler::admit` mirrored:
-    ///
-    /// * **intake** moves arrived requests into the priority-ordered
-    ///   ready queue, shedding any whose block-rounded maximum context
-    ///   exceeds the whole pool,
-    /// * brownout level 2 sheds queued best-effort first admissions,
-    /// * admission **reserves** the block-rounded maximum context
-    ///   upfront (the live `KvBudget` arithmetic), so mid-decode appends
-    ///   never fail,
-    /// * a reservation failure **preempts** the victim
-    ///   [`pick_victim`] names: its generated tokens fold into the
-    ///   prompt as a replay prefill and it re-enters the ready queue,
-    /// * brownout level 1 clamps best-effort budgets at first
-    ///   admission.
-    ///
-    /// Returns each admission with its prefill tokens, and whether an
-    /// arrived request starved for KV (the brownout ladder's signal).
-    fn admit_reserved(
-        &self,
-        rep: &mut Rep,
-        f: &mut Flights,
-        overload: &OverloadConfig,
-        may_admit: bool,
-    ) -> (Vec<(usize, u32)>, bool) {
-        let block = u64::from(self.config.kv_block_tokens.unwrap_or(1).max(1));
-        let capacity = self.config.kv_capacity_tokens;
-        let cost = |max_context: u32| u64::from(max_context).div_ceil(block) * block;
-        while let Some(&idx) = rep.queue.front() {
-            if f.requests[idx].arrival.value() > rep.now.value() {
-                break;
-            }
-            rep.queue.pop_front();
-            if cost(f.requests[idx].max_context()) > capacity {
-                f.reject(idx);
-                continue;
-            }
-            insert_by_priority(&mut rep.ready, idx, |&q| f.requests[q].priority);
-        }
-        let mut admitted = Vec::new();
-        if !may_admit {
-            return (admitted, false);
-        }
-        if rep.brownout.level() >= BrownoutController::MAX_LEVEL {
-            // Replays are never shed: their streams must complete to
-            // stay bitwise comparable.
-            let (shed, keep): (VecDeque<usize>, VecDeque<usize>) =
-                rep.ready.iter().copied().partition(|&idx| {
-                    !f.replay[idx] && rep.brownout.should_shed(f.requests[idx].priority)
-                });
-            rep.ready = keep;
-            for idx in shed {
-                let r = &mut f.requests[idx];
-                r.state = RequestState::Rejected;
-                f.tally.per_class.shed[r.priority.index()] += 1;
-                f.tally.brownout_sheds += 1;
-            }
-        }
-        let mut starved = false;
-        while rep.running.len() + rep.prefilling.len() + admitted.len()
-            < self.config.max_concurrency as usize
-        {
-            let Some(&idx) = rep.ready.front() else { break };
-            let req = &f.requests[idx];
-            // The clamp applies only if the admission succeeds, like the
-            // live scheduler.
-            let out = if f.replay[idx] {
-                req.output_tokens
-            } else {
-                rep.brownout
-                    .clamp_max_new(req.priority, req.output_tokens as usize) as u32
-            };
-            let (id, prompt) = (req.id, req.prompt_tokens);
-            let max_context = prompt + out;
-            let c = cost(max_context);
-            let effective = match rep.pressure {
-                Some((factor, _)) => (capacity as f64 * factor).floor() as u64,
-                None => capacity,
-            };
-            if rep.reserved + c > effective || !rep.alloc.can_admit(max_context) {
-                let victim = overload
-                    .preemption
-                    .then(|| {
-                        pick_victim(rep.running.iter().enumerate(), req.priority, |&(_, &v)| {
-                            (f.requests[v].priority, f.seq_of[v])
-                        })
-                    })
-                    .flatten();
-                if let Some((pos, _)) = victim {
-                    let vidx = rep.running.swap_remove(pos);
-                    // Eviction for any reason cancels a pending poison —
-                    // the live injector's `evict` contract.
-                    rep.poisoned.retain(|&p| p != f.requests[vidx].id);
-                    rep.release(f, vidx);
-                    let v = &mut f.requests[vidx];
-                    let replayed = u64::from(fold_into_prompt(v));
-                    f.tally.preemptions += 1;
-                    f.tally.per_class.preemptions[v.priority.index()] += 1;
-                    f.tally.per_class.replayed_tokens[v.priority.index()] += replayed;
-                    f.tally.replayed_tokens += replayed;
-                    f.replay[vidx] = true;
-                    insert_by_priority(&mut rep.ready, vidx, |&q| f.requests[q].priority);
-                    continue;
-                }
-                // The live idle-shed: an idle, unpressured pool that
-                // still cannot hold the front can never hold it.
-                if rep.running.is_empty()
-                    && admitted.is_empty()
-                    && rep.reserved == 0
-                    && rep.pressure.is_none()
-                {
-                    rep.ready.pop_front();
-                    f.reject(idx);
-                    continue;
-                }
-                starved = true;
-                break;
-            }
-            if rep.alloc.admit(id, max_context).is_err() {
-                starved = true;
-                break;
-            }
-            if rep.alloc.append(id, prompt).is_err() {
-                rep.alloc.release(id);
-                starved = true;
-                break;
-            }
-            rep.ready.pop_front();
-            f.requests[idx].output_tokens = out;
-            rep.reserved += c;
-            f.cost_of[idx] = c;
-            f.next_seq += 1;
-            f.seq_of[idx] = f.next_seq;
-            admitted.push((idx, prompt));
-        }
-        (admitted, starved)
-    }
-
     fn report(&self, requests: &[Request], reps: &[Rep], tally: &Tally) -> ServingReport {
         let makespan = reps
             .iter()
             .map(|rep| rep.now)
             .fold(Seconds::ZERO, |a, b| Seconds(a.value().max(b.value())));
-        let decode_steps: u64 = reps.iter().map(|rep| rep.decode_steps).sum();
+        let sum = |count: fn(&Rep) -> u64| -> u64 { reps.iter().map(count).sum() };
+        let decode_steps = sum(|rep| rep.decode_steps);
         let finished: Vec<&Request> = requests
             .iter()
             .filter(|r| r.state == RequestState::Finished)
             .collect();
         let completed = finished.len() as u32;
-        let mut per_class = tally.per_class;
+        let mut per_class = ClassCounters::default();
+        for rep in reps {
+            per_class.merge(&rep.admission.counters.per_class);
+        }
         for r in &finished {
             per_class.completed[r.priority.index()] += 1;
         }
@@ -1052,7 +959,8 @@ impl ServingSimulator {
                 0.0
             },
             peak_kv_utilization: tally.peak_util,
-            preemptions: tally.preemptions,
+            preemptions: tally.preemptions
+                + sum(|rep| rep.admission.counters.preemptions.into()) as u32,
             rejected: tally.rejected,
             decode_steps,
             prefill_chunks: tally.prefill_chunks,
@@ -1061,9 +969,9 @@ impl ServingSimulator {
             faults_injected: tally.faults_injected,
             prefix_hits: tally.prefix_hits,
             saved_prefill_tokens: tally.saved_prefill_tokens,
-            replayed_tokens: tally.replayed_tokens,
-            brownout_steps: reps.iter().map(|rep| rep.brownout.brownout_steps).sum(),
-            brownout_sheds: tally.brownout_sheds,
+            replayed_tokens: sum(|rep| rep.admission.counters.replayed_tokens),
+            brownout_steps: sum(|rep| rep.admission.brownout.brownout_steps),
+            brownout_sheds: sum(|rep| rep.admission.counters.shed_brownout.into()) as u32,
             per_class,
             per_request,
         }
@@ -1178,6 +1086,29 @@ mod tests {
             stat.throughput_tokens_per_s
         );
         assert!(cont.mean_batch_occupancy >= stat.mean_batch_occupancy);
+    }
+
+    #[test]
+    fn static_batch_waits_for_a_wave_that_is_still_prefilling() {
+        // A 256-token prompt at t = 0 and a 16-token prompt 1 µs later:
+        // a static batch is one wave whether its prefill runs whole or in
+        // chunks, so the second request waits for the first to drain.
+        let reqs = vec![
+            Request::new(0, Seconds::ZERO, 256, 8),
+            Request::new(1, Seconds(1e-6), 16, 8),
+        ];
+        let mut cfg = config(BatchingPolicy::Static, 1 << 16, Some(16));
+        cfg.max_concurrency = 8;
+        let whole = ServingSimulator::new(cfg.clone());
+        let chunked = ServingSimulator::new(cfg).with_prefill_chunking(16);
+        for rep in [
+            whole.run(reqs.clone(), &perf(2)),
+            chunked.run(reqs, &perf(2)),
+        ] {
+            assert_eq!(rep.completed, 2);
+            assert_eq!(rep.decode_steps, 16, "two waves of eight steps");
+            assert_eq!(rep.mean_batch_occupancy, 1.0);
+        }
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl LoadSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::BatchingPolicy;
+    use crate::BatchingPolicy;
     use llmib_frameworks::FrameworkId;
     use llmib_hardware::HardwareId;
     use llmib_models::ModelId;

@@ -106,6 +106,7 @@ impl Client {
             deadline,
             priority: opts.priority,
             events: events_tx,
+            replay: None,
         };
         match self.ingress.try_send(sub) {
             Ok(()) => Ok(RequestHandle {

@@ -95,7 +95,6 @@
 #![warn(missing_docs)]
 
 mod breaker;
-mod budget;
 mod client;
 mod config;
 mod event;
@@ -107,7 +106,6 @@ mod router;
 mod server;
 
 pub use breaker::{BreakerConfig, BreakerState};
-pub use budget::BudgetError;
 pub use client::{Client, PendingRequest, RequestHandle, SubmitError, SubmitOptions};
 pub use config::{PoolConfig, ServeConfig};
 pub use event::{FailReason, RejectReason, RequestOutcome, ServeEvent};
@@ -117,12 +115,14 @@ pub use replay::{
     deterministic_prompt, deterministic_prompt_for, replay_admission_order, replay_trace,
     replay_trace_on, ReplayOptions, ReplayedRequest,
 };
-pub use report::{OverloadCounters, PrefixCounters, RequestMetrics, RobustnessStats, ServeReport};
+pub use report::{PrefixCounters, RequestMetrics, RobustnessStats, ServeReport};
 pub use router::RoutingPolicy;
 pub use server::Server;
 
-// Overload-survival knobs and class tallies are defined next to the
-// simulator's mirror implementation; re-export them so serving users
-// configure both backends from one vocabulary.
-pub use llmib_sched::{BrownoutConfig, ClassCounters, OverloadConfig};
+// The admission ledger, overload-survival knobs and counters are
+// defined next to the admission pass both runtimes share; re-export
+// them so serving users configure both backends from one vocabulary.
+pub use llmib_sched::{
+    BrownoutConfig, BudgetError, ClassCounters, OverloadConfig, OverloadCounters,
+};
 pub use llmib_types::{ItlPercentiles, ItlSummary, Priority, ReplicaRole};

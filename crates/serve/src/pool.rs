@@ -17,9 +17,9 @@
 use crate::client::Client;
 use crate::config::PoolConfig;
 use crate::event::{RejectReason, ServeEvent};
-use crate::report::{OverloadCounters, PrefixCounters, RobustnessStats, ServeReport};
 use crate::router::{router_loop, ReplicaSlot, RouterBooks};
 use crate::server::{now, spawn_scheduler};
+use crate::{OverloadCounters, PrefixCounters, RobustnessStats, ServeReport};
 use llmib_engine::TransformerModel;
 use llmib_types::{ReplicaId, Result, Seconds};
 use serde::Serialize;

@@ -6,7 +6,7 @@
 //! directly comparable with [`llmib_sched::ServingReport`].
 
 use llmib_core::metrics::{mean, p50, p90, p99, InferenceMetrics, MetricInputs};
-use llmib_sched::ClassCounters;
+use llmib_sched::OverloadCounters;
 use llmib_types::{ItlSummary, LatencySample, Priority, Seconds, TokenShape};
 use serde::Serialize;
 
@@ -90,42 +90,6 @@ pub struct PrefixCounters {
     pub hits: u32,
     /// Prompt tokens whose prefill was skipped via those hits.
     pub saved_prefill_tokens: u64,
-}
-
-/// Overload-layer counters of one serving run: per-reason rejections
-/// beyond oversize/deadline, plus the preemption and brownout mechanism
-/// tallies with their per-priority-class breakdowns. Field-compatible
-/// with the same counters on [`llmib_sched::ServingReport`], so the
-/// overload reconciliation suite asserts exact equality between the
-/// live runtime and the simulator on an identical trace. All zero when
-/// [`llmib_sched::OverloadConfig`] is fully disabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct OverloadCounters {
-    /// Rejections because an ingress queue was full. Router-observed in
-    /// a pool (a replica's bounded queue refused a dispatch); always 0
-    /// on a standalone server, where queue-full refusals resolve
-    /// synchronously at [`crate::Client::submit`].
-    pub rejected_queue_full: u32,
-    /// Scheduler-internal rejections: an admission failure after intake
-    /// screening, or a submission racing the final shutdown drain.
-    /// Previously conflated into `rejected_oversized`.
-    pub rejected_internal: u32,
-    /// Queued best-effort requests shed outright by brownout level 2
-    /// ([`crate::RejectReason::Brownout`]).
-    pub shed_brownout: u32,
-    /// Running sequences preempted — evicted mid-decode and re-queued
-    /// for prefix-replay re-admission — to make room for a higher
-    /// class.
-    pub preemptions: u32,
-    /// Tokens already streamed at preemption time, folded into the
-    /// replay prompt and re-prefilled on re-admission (the
-    /// preemption-cost currency).
-    pub replayed_tokens: u64,
-    /// Decode steps executed while the brownout level was degraded.
-    pub brownout_steps: u64,
-    /// Per-priority-class completion / preemption / replay / shed
-    /// breakdowns.
-    pub per_class: ClassCounters,
 }
 
 /// Robustness counters of one serving run: what went wrong, what the

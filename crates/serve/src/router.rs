@@ -584,6 +584,7 @@ fn open_dispatch(id: u64, f: &Flight, slot: &ReplicaSlot) -> Option<Dispatch> {
         deadline: f.deadline,
         priority: f.priority,
         events: tx,
+        replay: None,
     };
     match slot.ingress.try_send(sub) {
         Ok(()) => Some(Dispatch {

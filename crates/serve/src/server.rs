@@ -14,7 +14,8 @@
 //! 5. **admit** — at this decode-step boundary, move queued requests
 //!    into the running batch while the *effective* concurrency cap
 //!    (lowered by the breaker under SLO breach) and the KV reservation
-//!    ([`crate::budget`], shrunk under memory pressure) allow,
+//!    (shrunk under memory pressure) allow — the reserved admission
+//!    pass [`llmib_sched::Admission::admit`], shared with the simulator,
 //! 6. **step** — one supervised decode step: transient errors retry
 //!    with capped exponential backoff, poisoned requests are evicted so
 //!    the rest of the batch survives, watchdog stalls and step latency
@@ -28,16 +29,13 @@
 //! [`crate::RobustnessStats::server_failed`].
 
 use crate::breaker::CircuitBreaker;
-use crate::budget::KvBudget;
 use crate::client::Client;
 use crate::config::ServeConfig;
 use crate::event::{FailReason, RejectReason, ServeEvent};
 use crate::fault::FaultInjector;
-use crate::report::{
-    OverloadCounters, PrefixCounters, RequestMetrics, RobustnessStats, ServeReport,
-};
+use crate::report::{PrefixCounters, RequestMetrics, RobustnessStats, ServeReport};
 use llmib_engine::{BatchSession, EngineStep, PrefixConfig, Sampler, TokenEvent, TransformerModel};
-use llmib_sched::{insert_by_priority, pick_victim, BatchingPolicy, BrownoutController};
+use llmib_sched::{insert_by_priority, Admission, AdmitExecutor, KvBudget, Refusal, Ticket};
 use llmib_types::{Priority, Result, Seconds, StepError};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -138,49 +136,41 @@ pub(crate) struct Submission {
     /// active overload policy lower classes are preempted/shed first.
     pub priority: Priority,
     pub events: std::sync::mpsc::Sender<ServeEvent>,
+    /// `Some` for a preempted request queued for prefix-replay
+    /// re-admission: its budget is never re-clamped and it is never
+    /// brownout-shed.
+    pub replay: Option<Carry>,
 }
 
 /// Scheduler-side state of an admitted sequence.
 struct LiveSeq {
-    /// Original prompt length — metrics are reported against it even
-    /// after preemption folds streamed tokens into the replay prompt.
-    prompt_tokens: u32,
-    /// Prompt tokens served from resident shared-prefix KV blocks at
-    /// admission (prefill skipped); 0 for a cold admission.
-    cached_prefix_tokens: u32,
-    submitted_at: Seconds,
-    admitted_at: Seconds,
-    first_token_at: Option<Seconds>,
-    /// Total tokens streamed to the client across all admissions.
-    generated: u32,
-    /// Absolute deadline on the server clock, enforced mid-decode too.
-    deadline: Option<Seconds>,
-    events: std::sync::mpsc::Sender<ServeEvent>,
-    /// Prompt of the *current* admission: the original prompt plus any
-    /// streamed tokens folded in by preemptions — the replay prefill.
-    prompt: Vec<usize>,
-    /// Tokens generated during the current admission only (cleared by
-    /// each preemption after folding them into `prompt`).
+    /// The current admission: the original prompt plus any streamed
+    /// tokens folded in by preemptions (the replay prefill), and the
+    /// remaining generation budget.
+    sub: Submission,
+    carry: Carry,
+    /// Tokens generated during the current admission only.
     tokens: Vec<usize>,
-    /// Remaining generation budget of the current admission.
-    max_new_tokens: usize,
-    sampler: Sampler,
-    priority: Priority,
     /// Admission sequence number, monotone across all admissions
     /// (replays included) — the youngest-victim tie-break of
-    /// [`pick_victim`], shared with the simulator.
+    /// [`llmib_sched::pick_victim`], shared with the simulator.
     admit_seq: u64,
 }
 
-/// Metrics continuity across a preemption: what the original admission
-/// already established, restored verbatim when the replay re-admits so
-/// the client-visible request metrics span the whole lifetime (one
-/// `Admitted` event, the original TTFT, the original prompt length).
-struct Carry {
+/// Metrics of a request's whole lifetime, carried across preemptions so
+/// the client-visible request metrics span it (one `Admitted` event, the
+/// original TTFT, the original prompt length). Prefix-cache hits on a
+/// replayed prompt are an artifact of replay and are not counted (the
+/// simulator's overload admission models no prefix reuse).
+pub(crate) struct Carry {
+    /// Original prompt length.
     prompt_tokens: u32,
+    /// Prompt tokens served from resident shared-prefix KV blocks at
+    /// the first admission (prefill skipped); 0 for a cold admission.
     cached_prefix_tokens: u32,
     admitted_at: Seconds,
     first_token_at: Option<Seconds>,
+    /// Total tokens streamed to the client across all admissions.
     generated: u32,
 }
 
@@ -265,6 +255,9 @@ pub(crate) fn now(epoch: Instant) -> Seconds {
 struct Scheduler<'m> {
     session: FaultInjector<BatchSession<'m>>,
     budget: KvBudget,
+    /// Brownout ladder and overload counters of the admission pass the
+    /// simulator also runs.
+    admission: Admission,
     breaker: CircuitBreaker,
     config: ServeConfig,
     epoch: Instant,
@@ -290,22 +283,6 @@ struct Scheduler<'m> {
     peak_kv: f64,
     first_submitted_at: Option<f64>,
     last_finished_at: f64,
-    /// Overload-layer counters reported in [`ServeReport::overload`].
-    overload: OverloadCounters,
-    /// The shared brownout ladder (no-op while disabled in config).
-    brownout: BrownoutController,
-    /// Metrics continuity of preempted requests currently waiting for
-    /// replay re-admission, keyed by request id. Membership marks a
-    /// queued submission as a replay (budget never re-clamped, never
-    /// brownout-shed).
-    carry: HashMap<u64, Carry>,
-    /// Monotone admission counter (replays included) — victim
-    /// tie-break.
-    next_admit_seq: u64,
-    /// The last admission pass left an arrived request unadmitted
-    /// because KV reservation failed even after preemption — the
-    /// brownout starvation signal, sampled once per decode step.
-    admit_starved: bool,
 }
 
 impl<'m> Scheduler<'m> {
@@ -350,9 +327,6 @@ impl<'m> Scheduler<'m> {
     fn cancel(&mut self, id: u64) {
         if let Some(pos) = self.waiting.iter().position(|sub| sub.id == id) {
             let sub = self.waiting.remove(pos).expect("position just found");
-            // A preempted request cancelled while awaiting replay keeps
-            // its streamed prefix valid; drop its continuity record.
-            self.carry.remove(&id);
             self.robust.cancelled += 1;
             let _ = sub.events.send(ServeEvent::Cancelled {
                 at: now(self.epoch),
@@ -363,7 +337,7 @@ impl<'m> Scheduler<'m> {
             }
             self.budget.release(id);
             self.robust.cancelled += 1;
-            let _ = meta.events.send(ServeEvent::Cancelled {
+            let _ = meta.sub.events.send(ServeEvent::Cancelled {
                 at: now(self.epoch),
             });
         } else {
@@ -382,11 +356,10 @@ impl<'m> Scheduler<'m> {
         let epoch = self.epoch;
         let mut shed = 0u32;
         let mut exceeded = 0u32;
-        let carry = &mut self.carry;
         self.waiting.retain(|sub| {
             let expired = sub.deadline.is_some_and(|d| t.value() > d.value());
             if expired {
-                if carry.remove(&sub.id).is_some() {
+                if sub.replay.is_some() {
                     // A preempted request expiring while queued for
                     // replay already consumed service and streamed
                     // tokens: resolve it like a mid-decode eviction,
@@ -412,258 +385,13 @@ impl<'m> Scheduler<'m> {
         let expired_live: Vec<u64> = self
             .live
             .iter()
-            .filter(|(_, meta)| meta.deadline.is_some_and(|d| t.value() > d.value()))
+            .filter(|(_, meta)| meta.sub.deadline.is_some_and(|d| t.value() > d.value()))
             .map(|(&id, _)| id)
             .collect();
         for id in expired_live {
             self.robust.deadline_exceeded += 1;
             self.fail_request(id, FailReason::DeadlineExceeded);
         }
-    }
-
-    /// Admit queued requests at this step boundary while policy, the
-    /// breaker-adjusted concurrency cap and the (pressure-adjusted) KV
-    /// reservation allow. Under an active overload policy the pass
-    /// also runs the brownout ladder (level-2 sheds, level-1 clamps)
-    /// and preempts lower-class running sequences when a reservation
-    /// fails — mirroring the simulator's overload admission exactly.
-    fn admit(&mut self) {
-        self.admit_starved = false;
-        let may_admit = match self.config.policy {
-            BatchingPolicy::Continuous => true,
-            BatchingPolicy::Static => self.session.is_empty() && self.session.pending_len() == 0,
-        };
-        if !may_admit {
-            return;
-        }
-        // Brownout level 2: shed queued best-effort first admissions
-        // outright. Replays are never shed — their streams must
-        // complete to stay bitwise identical to an uncontended run.
-        if self.brownout.level() >= BrownoutController::MAX_LEVEL {
-            let epoch = self.epoch;
-            let brownout = &self.brownout;
-            let carry = &self.carry;
-            let counters = &mut self.overload;
-            self.waiting.retain(|sub| {
-                let shed = !carry.contains_key(&sub.id) && brownout.should_shed(sub.priority);
-                if shed {
-                    counters.shed_brownout += 1;
-                    counters.per_class.shed[sub.priority.index()] += 1;
-                    let _ = sub.events.send(ServeEvent::Rejected {
-                        reason: RejectReason::Brownout,
-                        at: now(epoch),
-                    });
-                }
-                !shed
-            });
-        }
-        let cap = self
-            .breaker
-            .effective_concurrency(self.config.max_concurrency);
-        // Pending (chunk-admitted, still prefilling) sequences hold KV
-        // reservations and batch slots-to-be: they count against the
-        // concurrency cap exactly like live ones.
-        while self.session.len() + self.session.pending_len() < cap {
-            let Some(front) = self.waiting.front() else {
-                break;
-            };
-            let (front_id, front_priority, front_prompt_len) =
-                (front.id, front.priority, front.prompt.len());
-            // Budget of this admission: replays keep their remaining
-            // tokens; first admissions may be clamped by brownout
-            // level 1. The clamp is applied only if the admission
-            // succeeds, like the simulator's overload admission.
-            let max_new = if self.carry.contains_key(&front_id) {
-                front.max_new_tokens
-            } else {
-                self.brownout
-                    .clamp_max_new(front_priority, front.max_new_tokens)
-            };
-            let max_context = (front_prompt_len + max_new) as u32;
-            if !self
-                .budget
-                .try_admit(front_id, max_context, front_prompt_len as u32)
-            {
-                // Preempt the youngest running sequence of the lowest
-                // class strictly below the front's, then retry the
-                // same front against the freed reservation.
-                if self.config.overload.preemption && self.preempt_below(front_priority) {
-                    continue;
-                }
-                // Does not fit *right now* (reservations or monolithic
-                // fragmentation): head-of-line wait for releases. If the
-                // pool is fully idle this can never improve — shed so an
-                // impossible request cannot wedge the queue. Under
-                // memory pressure the pool will grow back when the
-                // window expires, so the shed must not fire. (Intake
-                // screens for truly oversized requests, so the branch is
-                // defensive.)
-                if self.session.is_empty()
-                    && self.session.pending_len() == 0
-                    && self.budget.is_idle()
-                    && !self.budget.under_pressure()
-                {
-                    let sub = self.waiting.pop_front().expect("front exists");
-                    self.carry.remove(&sub.id);
-                    self.rejected_oversized += 1;
-                    let _ = sub.events.send(ServeEvent::Rejected {
-                        reason: RejectReason::Oversized,
-                        at: now(self.epoch),
-                    });
-                    continue;
-                }
-                self.admit_starved = true;
-                break;
-            }
-            let mut sub = self.waiting.pop_front().expect("front exists");
-            sub.max_new_tokens = max_new;
-            // Monolithic prefill runs synchronously inside `admit` — the
-            // admission timestamp below includes it, as TTFT must.
-            // Chunked admission defers prefill to per-step
-            // `prefill_chunk` calls; TTFT then accrues across the
-            // chunks, since the first token cannot appear earlier.
-            let admitted = match self.config.prefill_token_budget {
-                Some(_) => self.session.admit_chunked(
-                    sub.id,
-                    &sub.prompt,
-                    sub.max_new_tokens,
-                    sub.sampler.clone(),
-                ),
-                None => {
-                    self.session
-                        .admit(sub.id, &sub.prompt, sub.max_new_tokens, sub.sampler.clone())
-                }
-            };
-            match admitted {
-                Ok(outcome) => {
-                    let at = now(self.epoch);
-                    self.next_admit_seq += 1;
-                    if let Some(c) = self.carry.remove(&sub.id) {
-                        // Replay re-admission of a preempted request:
-                        // restore the original admission's metrics — no
-                        // second `Admitted` event, no admission-order
-                        // entry, and TTFT / prompt length stay those of
-                        // the first pass. Prefix-cache hits on the
-                        // replayed prompt are an artifact of replay and
-                        // are not counted (the simulator's overload
-                        // admission models no prefix reuse).
-                        self.live.insert(
-                            sub.id,
-                            LiveSeq {
-                                prompt_tokens: c.prompt_tokens,
-                                cached_prefix_tokens: c.cached_prefix_tokens,
-                                submitted_at: sub.submitted_at,
-                                admitted_at: c.admitted_at,
-                                first_token_at: c.first_token_at,
-                                generated: c.generated,
-                                deadline: sub.deadline,
-                                events: sub.events,
-                                prompt: sub.prompt,
-                                tokens: Vec::new(),
-                                max_new_tokens: sub.max_new_tokens,
-                                sampler: sub.sampler,
-                                priority: sub.priority,
-                                admit_seq: self.next_admit_seq,
-                            },
-                        );
-                    } else {
-                        let cached = outcome.cached_prefix_tokens as u32;
-                        if cached > 0 {
-                            self.prefix.hits += 1;
-                            self.prefix.saved_prefill_tokens += u64::from(cached);
-                        }
-                        let _ = sub.events.send(ServeEvent::Admitted {
-                            at,
-                            cached_prefix_tokens: cached,
-                        });
-                        self.admission_order.push(sub.id);
-                        self.live.insert(
-                            sub.id,
-                            LiveSeq {
-                                prompt_tokens: sub.prompt.len() as u32,
-                                cached_prefix_tokens: cached,
-                                submitted_at: sub.submitted_at,
-                                admitted_at: at,
-                                first_token_at: None,
-                                generated: 0,
-                                deadline: sub.deadline,
-                                events: sub.events,
-                                prompt: sub.prompt,
-                                tokens: Vec::new(),
-                                max_new_tokens: sub.max_new_tokens,
-                                sampler: sub.sampler,
-                                priority: sub.priority,
-                                admit_seq: self.next_admit_seq,
-                            },
-                        );
-                    }
-                }
-                Err(_) => {
-                    // Unreachable by construction (intake validates
-                    // context length and ids are unique) — degrade to an
-                    // explicit rejection, never a panic.
-                    self.budget.release(sub.id);
-                    self.carry.remove(&sub.id);
-                    self.overload.rejected_internal += 1;
-                    let _ = sub.events.send(ServeEvent::Rejected {
-                        reason: RejectReason::Internal,
-                        at: now(self.epoch),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Evict the youngest running sequence of the lowest class strictly
-    /// below `preemptor` and re-queue it for prefix-replay
-    /// re-admission: its streamed tokens fold into the prompt (vLLM
-    /// recompute-on-preempt style), and greedy determinism resumes the
-    /// stream bitwise where it left off once it re-admits. Returns
-    /// whether a victim was found. No client-visible event fires — the
-    /// client only observes a pause in its token stream.
-    fn preempt_below(&mut self, preemptor: Priority) -> bool {
-        let victim = pick_victim(&self.live, preemptor, |(_, m)| (m.priority, m.admit_seq))
-            .map(|(&id, _)| id);
-        let Some(id) = victim else {
-            return false;
-        };
-        let meta = self.live.remove(&id).expect("victim is live");
-        // Injector eviction also cancels any pending poison for the
-        // victim — the simulator's overload admission mirrors this contract.
-        self.session.evict(id);
-        self.budget.release(id);
-        let replayed = meta.tokens.len();
-        self.overload.preemptions += 1;
-        self.overload.per_class.preemptions[meta.priority.index()] += 1;
-        self.overload.per_class.replayed_tokens[meta.priority.index()] += replayed as u64;
-        self.overload.replayed_tokens += replayed as u64;
-        let mut prompt = meta.prompt;
-        prompt.extend_from_slice(&meta.tokens);
-        self.carry.insert(
-            id,
-            Carry {
-                prompt_tokens: meta.prompt_tokens,
-                cached_prefix_tokens: meta.cached_prefix_tokens,
-                admitted_at: meta.admitted_at,
-                first_token_at: meta.first_token_at,
-                generated: meta.generated,
-            },
-        );
-        insert_by_priority(
-            &mut self.waiting,
-            Submission {
-                id,
-                prompt,
-                max_new_tokens: meta.max_new_tokens - replayed,
-                sampler: meta.sampler,
-                submitted_at: meta.submitted_at,
-                deadline: meta.deadline,
-                priority: meta.priority,
-                events: meta.events,
-            },
-            |s| s.priority,
-        );
-        true
     }
 
     /// One supervised decode step: retry transient errors with capped
@@ -732,32 +460,30 @@ impl<'m> Scheduler<'m> {
                 // Defensive: a token for a sequence we no longer track.
                 continue;
             };
-            meta.generated += 1;
+            meta.carry.generated += 1;
             meta.tokens.push(ev.token);
-            if meta.first_token_at.is_none() {
-                meta.first_token_at = Some(at);
-            }
-            let _ = meta.events.send(ServeEvent::Token {
+            meta.carry.first_token_at.get_or_insert(at);
+            let _ = meta.sub.events.send(ServeEvent::Token {
                 token: ev.token,
                 at,
             });
             if ev.finished {
                 self.budget.release(ev.seq);
                 self.pending_cancels.remove(&ev.seq);
-                let meta = self.live.remove(&ev.seq).expect("live seq");
-                self.overload.per_class.completed[meta.priority.index()] += 1;
+                let LiveSeq { sub, carry: c, .. } = self.live.remove(&ev.seq).expect("live seq");
+                self.admission.counters.per_class.completed[sub.priority.index()] += 1;
                 let metrics = RequestMetrics::from_timestamps(
                     ev.seq,
-                    meta.prompt_tokens,
-                    meta.generated,
-                    meta.submitted_at,
-                    meta.admitted_at,
-                    meta.first_token_at.expect("finished implies first token"),
+                    c.prompt_tokens,
+                    c.generated,
+                    sub.submitted_at,
+                    c.admitted_at,
+                    c.first_token_at.expect("finished implies first token"),
                     at,
-                    meta.cached_prefix_tokens,
-                    meta.priority,
+                    c.cached_prefix_tokens,
+                    sub.priority,
                 );
-                let _ = meta.events.send(ServeEvent::Finished {
+                let _ = sub.events.send(ServeEvent::Finished {
                     metrics: metrics.clone(),
                 });
                 self.per_request.push(metrics);
@@ -775,7 +501,7 @@ impl<'m> Scheduler<'m> {
         // whether this step's admission pass starved on KV — the same
         // cadence and signal as the simulator's replica step. The
         // controller no-ops unless brownout is enabled.
-        self.brownout.observe_step(self.admit_starved);
+        self.admission.observe_step();
     }
 
     /// Kill one admitted request: evict it from the batch, free its KV
@@ -790,7 +516,7 @@ impl<'m> Scheduler<'m> {
         self.pending_cancels.remove(&id);
         if let Some(meta) = self.live.remove(&id) {
             self.robust.failed += 1;
-            let _ = meta.events.send(ServeEvent::Failed {
+            let _ = meta.sub.events.send(ServeEvent::Failed {
                 reason,
                 at: now(self.epoch),
             });
@@ -805,7 +531,8 @@ impl<'m> Scheduler<'m> {
         self.robust.breaker_opened = self.breaker.opened;
         self.robust.breaker_degraded_steps = self.breaker.degraded_steps;
         self.robust.breaker_recoveries = self.breaker.recoveries;
-        self.overload.brownout_steps = self.brownout.brownout_steps;
+        let mut overload = self.admission.counters;
+        overload.brownout_steps = self.admission.brownout.brownout_steps;
         ServeReport::from_parts(
             self.per_request,
             self.shed_deadline,
@@ -818,8 +545,129 @@ impl<'m> Scheduler<'m> {
             self.admission_order,
             self.robust,
             self.prefix,
-            self.overload,
+            overload,
         )
+    }
+}
+
+/// The live scheduler's side of the shared admission pass: it starts
+/// engine sequences, evicts victims into replay submissions, and
+/// resolves refused submissions with their client events.
+struct LiveAdmit<'a, 'm> {
+    session: &'a mut FaultInjector<BatchSession<'m>>,
+    live: &'a mut HashMap<u64, LiveSeq>,
+    prefix: &'a mut PrefixCounters,
+    admission_order: &'a mut Vec<u64>,
+    rejected_oversized: &'a mut u32,
+    chunked: bool,
+    epoch: Instant,
+}
+
+impl AdmitExecutor for LiveAdmit<'_, '_> {
+    type Entry = Submission;
+
+    fn ticket(&self, sub: &Submission) -> Ticket {
+        Ticket {
+            id: sub.id,
+            priority: sub.priority,
+            prompt_tokens: sub.prompt.len() as u32,
+            max_new_tokens: sub.max_new_tokens as u32,
+            replay: sub.replay.is_some(),
+        }
+    }
+
+    fn held(&self) -> usize {
+        self.session.len() + self.session.pending_len()
+    }
+
+    fn residents(&self) -> impl Iterator<Item = (u64, Priority, u64)> + '_ {
+        self.live
+            .iter()
+            .map(|(&id, meta)| (id, meta.sub.priority, meta.admit_seq))
+    }
+
+    /// Monolithic prefill runs synchronously inside the engine's
+    /// `admit`, so the admission timestamp includes it, as TTFT must.
+    /// Chunked admission defers prefill to per-step `prefill_chunk`
+    /// calls; TTFT then accrues across the chunks.
+    fn start(
+        &mut self,
+        mut sub: Submission,
+        max_new: u32,
+        admit_seq: u64,
+    ) -> std::result::Result<(), Submission> {
+        sub.max_new_tokens = max_new as usize;
+        let (id, max_new, sampler) = (sub.id, sub.max_new_tokens, sub.sampler.clone());
+        let admitted = if self.chunked {
+            self.session
+                .admit_chunked(id, &sub.prompt, max_new, sampler)
+        } else {
+            self.session.admit(id, &sub.prompt, max_new, sampler)
+        };
+        // Unreachable by construction (intake validates context length
+        // and ids are unique): the pass degrades it to a rejection.
+        let Ok(outcome) = admitted else {
+            return Err(sub);
+        };
+        let at = now(self.epoch);
+        let carry = sub.replay.take().unwrap_or_else(|| {
+            let cached = outcome.cached_prefix_tokens as u32;
+            if cached > 0 {
+                self.prefix.hits += 1;
+                self.prefix.saved_prefill_tokens += u64::from(cached);
+            }
+            let _ = sub.events.send(ServeEvent::Admitted {
+                at,
+                cached_prefix_tokens: cached,
+            });
+            self.admission_order.push(id);
+            Carry {
+                prompt_tokens: sub.prompt.len() as u32,
+                cached_prefix_tokens: cached,
+                admitted_at: at,
+                first_token_at: None,
+                generated: 0,
+            }
+        });
+        let seq = LiveSeq {
+            sub,
+            carry,
+            tokens: Vec::new(),
+            admit_seq,
+        };
+        self.live.insert(id, seq);
+        Ok(())
+    }
+
+    /// The streamed tokens fold into the replay prompt (vLLM
+    /// recompute-on-preempt style), and greedy determinism resumes the
+    /// stream bitwise where it left off once it re-admits. No
+    /// client-visible event fires — the client only observes a pause in
+    /// its token stream. Injector eviction also cancels any pending
+    /// poison for the victim, as the simulator's eviction does.
+    fn evict(&mut self, id: u64) -> (Submission, u32) {
+        let LiveSeq {
+            mut sub,
+            carry,
+            tokens,
+            ..
+        } = self.live.remove(&id).expect("victim is live");
+        self.session.evict(id);
+        sub.prompt.extend_from_slice(&tokens);
+        sub.max_new_tokens -= tokens.len();
+        sub.replay = Some(carry);
+        (sub, tokens.len() as u32)
+    }
+
+    fn refuse(&mut self, sub: &Submission, why: Refusal) {
+        *self.rejected_oversized += u32::from(why == Refusal::Oversized);
+        let reason = match why {
+            Refusal::Brownout => RejectReason::Brownout,
+            Refusal::Oversized => RejectReason::Oversized,
+            Refusal::Internal => RejectReason::Internal,
+        };
+        let at = now(self.epoch);
+        let _ = sub.events.send(ServeEvent::Rejected { reason, at });
     }
 }
 
@@ -850,6 +698,7 @@ fn scheduler_loop(
     let mut sched = Scheduler {
         session: FaultInjector::new(session, config.fault_plan.clone()),
         budget: KvBudget::new(config.kv_capacity_tokens, config.kv_block_tokens),
+        admission: Admission::new(config.policy, config.overload),
         breaker: CircuitBreaker::new(config.breaker.clone()),
         config: config.clone(),
         epoch,
@@ -861,11 +710,6 @@ fn scheduler_loop(
         admission_order: Vec::new(),
         robust: RobustnessStats::default(),
         prefix: PrefixCounters::default(),
-        overload: OverloadCounters::default(),
-        brownout: BrownoutController::new(config.overload.brownout),
-        carry: HashMap::new(),
-        next_admit_seq: 0,
-        admit_starved: false,
         shed_deadline: 0,
         rejected_oversized: 0,
         decode_steps: 0,
@@ -938,7 +782,19 @@ fn scheduler_loop(
         //    memory-pressure factor and breaker-adjusted concurrency.
         let pressure = sched.session.kv_pressure();
         sched.budget.set_pressure_factor(pressure);
-        sched.admit();
+        let cap = sched.breaker.effective_concurrency(config.max_concurrency);
+        let mut exec = LiveAdmit {
+            session: &mut sched.session,
+            live: &mut sched.live,
+            prefix: &mut sched.prefix,
+            admission_order: &mut sched.admission_order,
+            rejected_oversized: &mut sched.rejected_oversized,
+            chunked: config.prefill_token_budget.is_some(),
+            epoch,
+        };
+        sched
+            .admission
+            .admit(&mut sched.budget, &mut sched.waiting, &mut exec, cap);
         // 5b. Chunked prefill: push at most one token-budgeted chunk of
         //     pending prompt through the model, interleaved with the
         //     decode step below — a long prompt costs every live stream
@@ -970,7 +826,7 @@ fn scheduler_loop(
     // an explicit rejection instead of a silently dropped channel.
     while let Ok(sub) = rx.try_recv() {
         sched.robust.submitted += 1;
-        sched.overload.rejected_internal += 1;
+        sched.admission.counters.rejected_internal += 1;
         let _ = sub.events.send(ServeEvent::Rejected {
             reason: RejectReason::Internal,
             at: now(epoch),
@@ -1025,6 +881,7 @@ mod tests {
                     deadline: None,
                     priority: Priority::Standard,
                     events: ev,
+                    replay: None,
                 })
                 .expect("scheduler hung up before the test submission");
         }

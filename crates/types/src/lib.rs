@@ -30,7 +30,8 @@ pub use fault::{
 pub use parallelism::Parallelism;
 pub use precision::Precision;
 pub use request::{
-    ItlPercentiles, ItlSummary, LatencySample, Priority, ReplicaRole, Request, RequestState,
+    usable_prefix_blocks, ItlPercentiles, ItlSummary, LatencySample, Priority, ReplicaRole,
+    Request, RequestState,
 };
 pub use units::{
     ByteCount, BytesPerSecond, Flops, FlopsRate, Joules, Seconds, TokensPerSecond, Watts,

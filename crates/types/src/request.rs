@@ -119,6 +119,15 @@ impl ReplicaRole {
     }
 }
 
+/// Whole KV blocks of a `hit_blocks`-block prefix-cache hit that a
+/// `prompt_tokens`-token prompt can reuse: capped at `(prompt - 1) /
+/// block` so at least one prompt token always prefills and the final
+/// row's logits exist for sampling. The usable-hit rule of the engine's
+/// block trie and of the simulator's prefix model.
+pub fn usable_prefix_blocks(hit_blocks: usize, prompt_tokens: usize, block_tokens: usize) -> usize {
+    hit_blocks.min((prompt_tokens - 1) / block_tokens)
+}
+
 /// One inference request flowing through a serving system (simulated or
 /// live).
 #[derive(Debug, Clone, Serialize)]
