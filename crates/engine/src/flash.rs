@@ -143,16 +143,16 @@ fn weighted_sum<const D: usize>(acc: &mut [f32], weights: &[f32], vals: &[f32], 
     *acc = a;
 }
 
-/// `acc[i] += p * v[i]`, dispatched to the SIMD backend when enabled.
+/// `acc[i] += p * v[i]`, dispatched to the SSE2 backend on x86_64.
 /// Elementwise (one multiply, one add per element), so scalar and SIMD
 /// forms are bitwise identical.
 #[inline]
 fn axpy(acc: &mut [f32], p: f32, v: &[f32]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         crate::simd::axpy_f32(acc, p, v);
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         debug_assert_eq!(acc.len(), v.len());
         for (a, b) in acc.iter_mut().zip(v) {

@@ -22,11 +22,11 @@
 //! GEMMs ([`matmul_mat`]) and batched decode stacks concurrent sequences
 //! so weights stream once per step; a reusable [`Workspace`] makes the
 //! steady-state decode loop allocation free. Every f32 path funnels
-//! through one dot-product kernel ([`dot_kernel`]) — with the `simd`
-//! feature that kernel is an explicit SSE2 implementation constructed to
-//! be *bitwise identical* to the scalar reference (same accumulator
-//! striping, no FMA), so batched, token-at-a-time, SIMD, and scalar
-//! execution all produce bitwise-identical logits. Weights are
+//! through one dot-product kernel ([`dot_kernel`]) — on x86_64 that
+//! kernel is an explicit SSE2 implementation constructed to be *bitwise
+//! identical* to the scalar reference (same accumulator striping, no
+//! FMA), so batched, token-at-a-time, SIMD, and scalar execution all
+//! produce bitwise-identical logits. Weights are
 //! seeded-random (we reproduce systems behavior, not trained quality);
 //! everything is deterministic given a seed, which the correctness tests
 //! rely on (e.g. cached and uncached decoding must emit identical
@@ -45,13 +45,11 @@
 //! ```
 
 // The crate is `unsafe`-free except for the SSE2 intrinsics module,
-// which is only compiled under the `simd` feature and keeps its
-// `unsafe` behind a module-local allow with per-call safety proofs.
-#![cfg_attr(
-    not(all(feature = "simd", target_arch = "x86_64")),
-    forbid(unsafe_code)
-)]
-#![cfg_attr(all(feature = "simd", target_arch = "x86_64"), deny(unsafe_code))]
+// which is compiled only on x86_64 (SSE2 is part of its baseline) and
+// keeps its `unsafe` behind a module-local allow with per-call safety
+// proofs.
+#![cfg_attr(not(target_arch = "x86_64"), forbid(unsafe_code))]
+#![cfg_attr(target_arch = "x86_64", deny(unsafe_code))]
 #![warn(missing_docs)]
 
 mod attention;
@@ -68,7 +66,7 @@ mod step;
 mod tensor;
 mod tokenizer;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod simd;
 
 pub use attention::{Attention, KvBlock, KvCache, DEFAULT_BLOCK_TOKENS};

@@ -355,16 +355,16 @@ impl QuantizedLinear {
     }
 }
 
-/// Exact i8 dot in i32, dispatched to the SSE2 backend when enabled.
+/// Exact i8 dot in i32, dispatched to the SSE2 backend on x86_64.
 /// Integer accumulation is exact, so every backend returns the same
 /// value.
 #[inline]
 fn dot_i8(w: &[i8], x: &[i8]) -> i32 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         crate::simd::dot_i8(w, x)
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         w.iter()
             .zip(x)
@@ -374,18 +374,18 @@ fn dot_i8(w: &[i8], x: &[i8]) -> i32 {
 }
 
 /// Exact packed-INT4 · i8 dot in i32, dispatched to the SSE2 backend
-/// (in-register nibble unpack) when enabled. `packed` holds two biased
+/// (in-register nibble unpack) on x86_64. `packed` holds two biased
 /// codes per byte, low nibble first; an odd `x.len()` uses only the
 /// final byte's low nibble. Integer accumulation is exact, so both
 /// backends return the same value — [`dot_i4_scalar`] is the pinned
 /// reference.
 #[inline]
 fn dot_i4(packed: &[u8], x: &[i8]) -> i32 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         crate::simd::dot_i4(packed, x)
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         dot_i4_scalar(packed, x)
     }
@@ -395,7 +395,7 @@ fn dot_i4(packed: &[u8], x: &[i8]) -> i32 {
 /// exact layout [`QuantizedLinear::quantize_with`] packs (low nibble =
 /// even column, stored `q + 8`). Kept alive on every backend so
 /// proptests can pin the dispatched kernel against it.
-#[allow(dead_code)] // the dispatch target on non-simd builds; test-only otherwise
+#[cfg_attr(target_arch = "x86_64", allow(dead_code))] // test-only reference there
 fn dot_i4_scalar(packed: &[u8], x: &[i8]) -> i32 {
     debug_assert_eq!(packed.len(), x.len().div_ceil(2));
     let pairs = x.len() / 2;

@@ -1,5 +1,4 @@
-//! Explicit SSE2 kernels, compiled only with the `simd` feature on
-//! x86_64.
+//! Explicit SSE2 kernels: the engine's kernels on every x86_64 build.
 //!
 //! Bitwise contract with the scalar reference kernels in
 //! [`crate::tensor`]: the f32 dot products accumulate in *exactly* the
@@ -14,7 +13,8 @@
 //! scalar kernels compiled into the same binary.
 //!
 //! This is the only module in the crate permitted to use `unsafe`
-//! (`lib.rs` forbids it crate-wide when this module is compiled out).
+//! (`lib.rs` forbids it crate-wide on targets other than x86_64, where
+//! this module is compiled out).
 //! Every unsafe operation is either an in-bounds unaligned load/store
 //! whose index arithmetic is visible a line above, or a call into an
 //! SSE2 `#[target_feature]` function — and SSE2 is part of the x86_64
@@ -107,6 +107,56 @@ unsafe fn dot2x2_sse2(w0: &[f32], w1: &[f32], x0: &[f32], x1: &[f32]) -> [f32; 4
         l10[0] + l10[1] + l10[2] + l10[3],
         l11[0] + l11[1] + l11[2] + l11[3],
     ]
+}
+
+/// 4×2 GEMM micro-kernel: `[w[0]·x0, …, w[3]·x0, w[0]·x1, …, w[3]·x1]`,
+/// each output bitwise identical to [`dot_f32`] (same four lanes, tail
+/// into lane 0, left-to-right reduction). Eight `__m128` accumulators
+/// plus six operand loads fit in the sixteen xmm registers, so every
+/// loaded weight serves two inputs and every loaded input four weights.
+#[inline]
+pub fn dot4x2_f32(w: [&[f32]; 4], x0: &[f32], x1: &[f32]) -> [f32; 8] {
+    let k = x0.len();
+    assert!(x1.len() == k && w.iter().all(|r| r.len() == k));
+    // SAFETY: SSE2 is baseline on x86_64.
+    unsafe { dot4x2_sse2(w, x0, x1) }
+}
+
+#[target_feature(enable = "sse2")]
+unsafe fn dot4x2_sse2(w: [&[f32]; 4], x0: &[f32], x1: &[f32]) -> [f32; 8] {
+    let k = x0.len();
+    let quads = k / 4;
+    let mut acc = [_mm_setzero_ps(); 8];
+    for i in 0..quads {
+        // SAFETY: `4 * i + 4 <= k`; all six slices have length `k`.
+        let (xv0, xv1, wv) = unsafe {
+            let p = 4 * i;
+            (
+                _mm_loadu_ps(x0.as_ptr().add(p)),
+                _mm_loadu_ps(x1.as_ptr().add(p)),
+                [
+                    _mm_loadu_ps(w[0].as_ptr().add(p)),
+                    _mm_loadu_ps(w[1].as_ptr().add(p)),
+                    _mm_loadu_ps(w[2].as_ptr().add(p)),
+                    _mm_loadu_ps(w[3].as_ptr().add(p)),
+                ],
+            )
+        };
+        for (r, &wr) in wv.iter().enumerate() {
+            acc[r] = _mm_add_ps(acc[r], _mm_mul_ps(wr, xv0));
+            acc[4 + r] = _mm_add_ps(acc[4 + r], _mm_mul_ps(wr, xv1));
+        }
+    }
+    let mut out = [0.0f32; 8];
+    for (t, o) in out.iter_mut().enumerate() {
+        let (wr, x) = (w[t % 4], if t < 4 { x0 } else { x1 });
+        let mut l = lanes_f32(acc[t]);
+        for j in 4 * quads..k {
+            l[0] += wr[j] * x[j];
+        }
+        *o = l[0] + l[1] + l[2] + l[3];
+    }
+    out
 }
 
 /// `acc[i] += p * v[i]`. Elementwise, so the vector form performs the
@@ -291,6 +341,19 @@ mod tests {
             let scalar = dot2x2_scalar(&w0, &w1, &x0, &x1);
             for (s, r) in simd.iter().zip(&scalar) {
                 prop_assert_eq!(s.to_bits(), r.to_bits());
+            }
+        }
+
+        #[test]
+        fn dot4x2_bitwise_identical_to_scalar(len in 0usize..70, seed in 0u64..50) {
+            let (w0, w1) = vecs(len, seed);
+            let (w2, w3) = vecs(len, seed.wrapping_add(500));
+            let (x0, x1) = vecs(len, seed.wrapping_add(1000));
+            let w = [&w0[..], &w1[..], &w2[..], &w3[..]];
+            let simd = dot4x2_f32(w, &x0, &x1);
+            for (t, s) in simd.iter().enumerate() {
+                let x = if t < 4 { &x0 } else { &x1 };
+                prop_assert_eq!(s.to_bits(), dot_unrolled(w[t % 4], x).to_bits());
             }
         }
 

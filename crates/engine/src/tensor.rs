@@ -116,29 +116,28 @@ pub fn dot_unrolled(row: &[f32], x: &[f32]) -> f32 {
 }
 
 /// The engine's innermost f32 dot product: dispatches to the explicit
-/// SSE2 backend when the `simd` feature is enabled on x86_64, and to
-/// [`dot_unrolled`] otherwise. The two are bitwise identical — the SIMD
-/// kernel keeps the same four accumulator lanes, tail handling, and
-/// final reduction order, and uses no FMA — which `simd::tests` asserts
-/// directly, so builds with and without the feature produce identical
+/// SSE2 backend on x86_64, where SSE2 is part of the baseline ABI, and
+/// to [`dot_unrolled`] on every other target. The two are bitwise
+/// identical — the SIMD kernel keeps the same four accumulator lanes,
+/// tail handling, and final reduction order, and uses no FMA — which
+/// `simd::tests` asserts directly, so every target produces identical
 /// model output.
 #[inline]
 pub fn dot_kernel(row: &[f32], x: &[f32]) -> f32 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         crate::simd::dot_f32(row, x)
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         dot_unrolled(row, x)
     }
 }
 
 /// Name of the active innermost-kernel backend, for benchmark reports:
-/// `"x86_64-sse2"` with the `simd` feature on x86_64, `"scalar"`
-/// otherwise.
+/// `"x86_64-sse2"` on x86_64, `"scalar"` elsewhere.
 pub fn kernel_backend() -> &'static str {
-    if cfg!(all(feature = "simd", target_arch = "x86_64")) {
+    if cfg!(target_arch = "x86_64") {
         "x86_64-sse2"
     } else {
         "scalar"
@@ -214,7 +213,7 @@ pub fn matmul_mat(w: &Matrix, xs: &Matrix) -> Matrix {
 
 /// One `GEMM_MB × N` block of the output: tiles over weight rows so each
 /// weight tile is reused across the whole input block while hot. Within a
-/// tile, outputs are computed 2×2 at a time by [`dot2x2`] — the register
+/// tile, outputs are computed 4×2 at a time by [`dot4x2`] — the register
 /// tiling that makes the GEMM path faster than a GEMV loop on one core.
 fn gemm_block(w: &Matrix, xs: &Matrix, m0: usize, out_rows: &mut [f32], n: usize) {
     let block_rows = out_rows.len() / n;
@@ -222,14 +221,21 @@ fn gemm_block(w: &Matrix, xs: &Matrix, m0: usize, out_rows: &mut [f32], n: usize
     while n0 < n {
         let n1 = (n0 + GEMM_NB).min(n);
         let mut mi = 0;
-        // 2×2 register-tiled interior: two input rows against two weight
-        // rows per micro-kernel call. (A 4×2 variant was measured and is
-        // slower here: its 32 scalar accumulators spill out of registers.)
+        // Register-tiled interior: two input rows against four weight
+        // rows per micro-kernel call, then a 2×2 call and a single dot
+        // for the weight rows left over.
         while mi + 2 <= block_rows {
             let x0 = xs.row(m0 + mi);
             let x1 = xs.row(m0 + mi + 1);
             let mut ni = n0;
-            while ni + 2 <= n1 {
+            while ni + 4 <= n1 {
+                let w4 = [w.row(ni), w.row(ni + 1), w.row(ni + 2), w.row(ni + 3)];
+                let t = dot4x2(w4, x0, x1);
+                out_rows[mi * n + ni..mi * n + ni + 4].copy_from_slice(&t[..4]);
+                out_rows[(mi + 1) * n + ni..(mi + 1) * n + ni + 4].copy_from_slice(&t[4..]);
+                ni += 4;
+            }
+            if ni + 2 <= n1 {
                 let t = dot2x2(w.row(ni), w.row(ni + 1), x0, x1);
                 out_rows[mi * n + ni] = t[0];
                 out_rows[mi * n + ni + 1] = t[1];
@@ -237,7 +243,6 @@ fn gemm_block(w: &Matrix, xs: &Matrix, m0: usize, out_rows: &mut [f32], n: usize
                 out_rows[(mi + 1) * n + ni + 1] = t[3];
                 ni += 2;
             }
-            // Odd trailing weight row.
             if ni < n1 {
                 out_rows[mi * n + ni] = dot_kernel(w.row(ni), x0);
                 out_rows[(mi + 1) * n + ni] = dot_kernel(w.row(ni), x1);
@@ -255,17 +260,34 @@ fn gemm_block(w: &Matrix, xs: &Matrix, m0: usize, out_rows: &mut [f32], n: usize
     }
 }
 
-/// 2×2 micro-kernel dispatch: the SSE2 variant when the `simd` feature
-/// is enabled on x86_64 (bitwise identical — see [`dot_kernel`]),
-/// [`dot2x2_scalar`] otherwise. Shared by the GEMM and the attention
-/// core's score tiles.
+/// 4×2 GEMM micro-kernel dispatch: `[w[0..4]·x0, w[0..4]·x1]`, each
+/// output bitwise equal to one [`dot_kernel`]. The SSE2 variant on
+/// x86_64 keeps all eight accumulators in registers; elsewhere it is
+/// two [`dot2x2_scalar`] calls.
+#[inline]
+fn dot4x2(w: [&[f32]; 4], x0: &[f32], x1: &[f32]) -> [f32; 8] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        crate::simd::dot4x2_f32(w, x0, x1)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let a = dot2x2_scalar(w[0], w[1], x0, x1);
+        let b = dot2x2_scalar(w[2], w[3], x0, x1);
+        [a[0], a[1], b[0], b[1], a[2], a[3], b[2], b[3]]
+    }
+}
+
+/// 2×2 micro-kernel dispatch: the SSE2 variant on x86_64 (bitwise
+/// identical — see [`dot_kernel`]), [`dot2x2_scalar`] elsewhere. Shared
+/// by the GEMM's remainders and the attention core's score tiles.
 #[inline]
 pub(crate) fn dot2x2(w0: &[f32], w1: &[f32], x0: &[f32], x1: &[f32]) -> [f32; 4] {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         crate::simd::dot2x2_f32(w0, w1, x0, x1)
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         dot2x2_scalar(w0, w1, x0, x1)
     }
@@ -278,7 +300,7 @@ pub(crate) fn dot2x2(w0: &[f32], w1: &[f32], x0: &[f32], x1: &[f32]) -> [f32; 4]
 /// partial sums, remainder into lane 0, left-to-right final add), so the
 /// tiled GEMM stays bitwise identical to per-row GEMVs.
 #[inline]
-#[cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(dead_code))]
+#[cfg_attr(target_arch = "x86_64", allow(dead_code))] // test-only reference there
 pub(crate) fn dot2x2_scalar(w0: &[f32], w1: &[f32], x0: &[f32], x1: &[f32]) -> [f32; 4] {
     let k = w0.len();
     assert!(w1.len() == k && x0.len() == k && x1.len() == k);
@@ -547,9 +569,9 @@ mod tests {
 
     #[test]
     fn dot_kernel_matches_dot_unrolled_bitwise() {
-        // Trivial when the simd feature is off (same function); with it
-        // on, this pins the scalar/SIMD bitwise contract at the exact
-        // kernel the engine dispatches to.
+        // Trivial off x86_64 (same function); on it, this pins the
+        // scalar/SIMD bitwise contract at the exact kernel the engine
+        // dispatches to.
         for len in [0usize, 1, 3, 4, 7, 31, 64, 65] {
             let m = Matrix::random(2, len.max(1), 77, 1.5);
             let a = &m.row(0)[..len];

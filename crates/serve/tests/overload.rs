@@ -5,6 +5,7 @@
 
 use llmib_engine::{EngineConfig, TransformerModel};
 use llmib_serve::{RejectReason, RequestOutcome, ServeConfig, Server, SubmitError, SubmitOptions};
+use llmib_types::{FaultEvent, FaultKind, FaultPlan, Seconds};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -58,11 +59,21 @@ fn full_ingress_rejects_at_the_door_and_never_panics() {
 #[test]
 fn expired_deadlines_are_shed_with_explicit_events() {
     let model = tiny_model();
+    // The blocker's first decode step stalls for 100 ms (below the
+    // 250 ms watchdog default), so it holds the only slot for longer
+    // than decoding alone would on any host, however fast.
+    let stall = FaultPlan::new(vec![FaultEvent {
+        at_step: 0,
+        kind: FaultKind::StepStall {
+            extra: Seconds(0.1),
+        },
+    }]);
     let server = Server::start(
         Arc::clone(&model),
         ServeConfig {
             max_concurrency: 1,
             queue_capacity: 16,
+            fault_plan: stall,
             ..ServeConfig::default()
         },
     )

@@ -1,33 +1,32 @@
 //! Kernel sweep + roofline validation for the engine's hot kernels.
 //!
 //! Measures the dense f32, block-INT8, and block-INT4 GEMV/GEMM kernels
-//! and the fused flash-style attention core under whichever backend this
-//! binary was compiled with (`kernel_backend()`: "scalar" or
-//! "x86_64-sse2" with `--features simd`), then validates every number
-//! against a host roofline whose peaks are *calibrated on the spot* — a
-//! register-resident FLOP microloop and a streaming-read microloop —
-//! rather than assumed. Timings run through the harness trial protocol
-//! (`LLMIB_TRIALS` overrides the count; CI smoke uses 3), so every
-//! recorded rate carries a nearest-rank confidence interval. Results
-//! merge into `BENCH_engine.json` as a `kernels_<backend>` section, so
-//! running the example twice (scalar, then `--features simd`) fills the
-//! whole sweep and lets the second run compute cross-backend speedups
-//! against the scalar f32 GEMV-loop baseline (the PR-1 kernel). Those
-//! `speedups_vs_scalar_f32_gemv` ratios are hardware-portable and
+//! and the fused flash-style attention core under the backend this
+//! target runs (`kernel_backend()`: "x86_64-sse2" on x86_64, "scalar"
+//! elsewhere), then validates every number against a host roofline
+//! whose peaks are *calibrated on the spot* — a register-resident FLOP
+//! microloop and a streaming-read microloop — rather than assumed.
+//! Timings run through the harness trial protocol (`LLMIB_TRIALS`
+//! overrides the count; CI smoke uses 3), so every recorded rate carries
+//! a nearest-rank confidence interval. Results merge into
+//! `BENCH_engine.json` as a `kernels_<backend>` section. The same run
+//! also times the scalar reference GEMV loop ([`dot_unrolled`] per
+//! row), and the `speedups_vs_scalar_f32_gemv` ratios pair each kernel
+//! against it trial by trial. Those ratios are hardware-portable and
 //! recorded `gated`: the CI regression gate fails if one significantly
 //! drops.
 //!
-//! Run with `cargo run --release --example kernel_sweep` and again with
-//! `--features simd`. Exits nonzero if any kernel falls below the floor
-//! fraction of its roofline prediction — this is the CI smoke check.
+//! Run with `cargo run --release --example kernel_sweep`. Exits nonzero
+//! if any kernel falls below the floor fraction of its roofline
+//! prediction — this is the CI smoke check.
 
 use llmib_bench::harness::{
     obj_set, run_trials, time_seconds, BenchDocument, ConfidenceInterval, Metric, Section,
     TrialConfig, TrialRun, TrialSet,
 };
 use llmib_engine::{
-    dot_kernel, kernel_backend, matmul_mat, matmul_vec, softmax_in_place, Attention, EngineConfig,
-    KvCache, Matrix, OnlineSoftmax, QuantMode, QuantizedLinear,
+    dot_kernel, dot_unrolled, kernel_backend, matmul_mat, matmul_vec, softmax_in_place, Attention,
+    EngineConfig, KvCache, Matrix, OnlineSoftmax, QuantMode, QuantizedLinear,
 };
 use llmib_models::ModelId;
 use llmib_perf::{HostRoofline, KernelBound, KernelShape};
@@ -43,7 +42,7 @@ const FLOOR_FRACTION: f64 = 0.02;
 const N: usize = 512;
 const BATCH: usize = 16;
 const BENCH_PATH: &str = "BENCH_engine.json";
-const CREATED_BY: &str = "cargo run --release --example kernel_sweep [--features simd]";
+const CREATED_BY: &str = "cargo run --release --example kernel_sweep";
 
 fn trial_config() -> TrialConfig {
     let trials = std::env::var("LLMIB_TRIALS")
@@ -125,13 +124,25 @@ fn bench_kernels(tc: &TrialConfig) -> Vec<Measured> {
     let q4 = QuantizedLinear::quantize_int4(&w);
 
     let one_gemv = KernelShape::gemv(N, N, 4.0);
+    let gemv_loop_shape = KernelShape {
+        flops: BATCH as f64 * one_gemv.flops,
+        bytes: BATCH as f64 * one_gemv.bytes,
+    };
     vec![
         Measured {
+            name: "gemv_loop_reference_f32",
+            shape: gemv_loop_shape,
+            set: time_trials(tc, || {
+                for r in 0..BATCH {
+                    let x = black_box(xs.row(r));
+                    let y: Vec<f32> = (0..N).map(|i| dot_unrolled(w.row(i), x)).collect();
+                    black_box(y);
+                }
+            }),
+        },
+        Measured {
             name: "gemv_loop_f32",
-            shape: KernelShape {
-                flops: BATCH as f64 * one_gemv.flops,
-                bytes: BATCH as f64 * one_gemv.bytes,
-            },
+            shape: gemv_loop_shape,
             set: time_trials(tc, || {
                 for r in 0..BATCH {
                     black_box(matmul_vec(black_box(&w), black_box(xs.row(r))));
@@ -358,24 +369,10 @@ fn main() {
         obj_set(&mut kernel_rows, m.name, row);
     }
 
-    // --- Cross-backend speedups against the PR-1 baseline kernel: the
-    // *scalar* f32 GEMV loop. The scalar run must happen first for the
-    // simd run to pick its baseline up from the `kernels_scalar`
-    // section; otherwise each backend falls back to its own gemv loop.
-    let mut doc = BenchDocument::load_or_new(BENCH_PATH);
-    let gemv = &measured[0];
-    assert_eq!(gemv.name, "gemv_loop_f32");
-    let own_gemv_vals = gemv.gflops_values();
-    let scalar_gemv_point = if backend == "scalar" {
-        None // pair against this run's own per-trial gemv rates
-    } else {
-        doc.section("kernels_scalar")
-            .and_then(|s| s.get("kernels"))
-            .and_then(|k| k.get("gemv_loop_f32"))
-            .and_then(|g| g.get("gflops"))
-            .and_then(|g| g.get("point"))
-            .and_then(Value::as_f64)
-    };
+    // --- Speedups against the scalar reference GEMV loop, paired per trial.
+    let reference = &measured[0];
+    assert_eq!(reference.name, "gemv_loop_reference_f32");
+    let reference_vals = reference.gflops_values();
     let mut speedups = Value::Object(Vec::new());
     for m in &measured {
         if !["gemm_f32", "gemv_int8", "gemm_int8", "gemm_int4"].contains(&m.name) {
@@ -385,7 +382,7 @@ fn main() {
             .gflops_values()
             .iter()
             .enumerate()
-            .map(|(i, g)| g / scalar_gemv_point.unwrap_or(own_gemv_vals[i]))
+            .map(|(i, g)| g / reference_vals[i])
             .collect();
         obj_set(
             &mut speedups,
@@ -397,6 +394,7 @@ fn main() {
     }
 
     // --- Merge into BENCH_engine.json under kernels_<backend> ---
+    let mut doc = BenchDocument::load_or_new(BENCH_PATH);
     doc.merge_section(
         Section::new(
             &format!("kernels_{backend}"),
@@ -426,10 +424,7 @@ fn main() {
         )
         .field(
             "speedup_baseline",
-            Value::Str(match scalar_gemv_point {
-                Some(p) => format!("kernels_scalar gemv_loop_f32 @ {p:.2} GFLOP/s"),
-                None => "own gemv_loop_f32 (paired per trial)".into(),
-            }),
+            Value::Str("gemv_loop_reference_f32 (paired per trial)".into()),
         )
         .field("speedups_vs_scalar_f32_gemv", speedups.clone()),
     );
@@ -447,7 +442,7 @@ fn main() {
     if let Value::Object(fields) = &speedups {
         for (k, v) in fields {
             if let Some(p) = v.get("point").and_then(Value::as_f64) {
-                println!("speedup vs scalar f32 gemv loop: {backend}/{k} = {p:.2}x");
+                println!("speedup vs reference f32 gemv loop: {backend}/{k} = {p:.2}x");
             }
         }
     }

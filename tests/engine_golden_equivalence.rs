@@ -318,13 +318,13 @@ proptest! {
     /// deterministic when rebuilt from scratch, (b) bitwise identical
     /// between batched prefill and the token-at-a-time reference, and
     /// (c) for quantized paths, directionally consistent with the f32
-    /// model within the documented error budget. Run under both the
-    /// scalar and `--features simd` builds, this pins the full
-    /// {scalar, SIMD} × {f32, int8-block, int4-block} matrix: the f32
-    /// SIMD kernel is checked bitwise against scalar in the engine's
-    /// unit suite, so f32 logits here are identical across builds, and
-    /// quantized integer dots are exact, so their logits are identical
-    /// across builds too.
+    /// model within the documented error budget. This covers
+    /// {f32, int8-block, int4-block} under the target's backend (SSE2 on
+    /// x86_64, scalar elsewhere): the SSE2 f32 kernels are checked
+    /// bitwise against the scalar reference in the engine's unit suite,
+    /// so f32 logits here are identical across targets, and quantized
+    /// integer dots are exact, so their logits are identical across
+    /// targets too.
     #[test]
     fn kernel_configurations_honor_their_equivalence_contract(
         seed in 0u64..500,
