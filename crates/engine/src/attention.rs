@@ -14,23 +14,28 @@
 //!   1-row tile per sequence.
 //!
 //! The core streams directly over the paged KV block chain, one KV
-//! head and one block-aligned chunk at a time. A block inside every
-//! row's window is read and scored once for all (rows × GQA group
-//! heads) of the tile, through the GEMM's 2×2 micro-kernel; the leading
-//! chunk of a sliding window and the diagonal chunks are scored per row.
-//! Each (row, head) folds its chunk scores into its own
+//! head and one 64-position span (`SPAN`) at a time, walking each
+//! span's KV-block pieces in position order. A span inside every row's
+//! window is read once for all (rows × GQA group heads) queries of the
+//! tile; the leading span of a sliding window and the diagonal spans
+//! are folded per row. Queries go in lane groups of four through three
+//! kernels: scores as 4-query × 2-key register tiles, the online-softmax
+//! weigh with one query per lane, and weighted sums of two queries per
+//! pass over the shared value rows (a lone query, as in MHSA decode,
+//! puts keys in the lanes instead). Each (row, head) keeps its own
 //! [`OnlineSoftmax`], so the full `O(context)` score row is never
-//! materialized. Chunk boundaries are a pure function of (window start,
-//! visible positions, block size) and every score is bitwise equal to
-//! one [`dot_kernel`], so every path folds the same values in the same
-//! order and all three stay bitwise identical to each other.
+//! materialized. Span boundaries are a pure function of (window start,
+//! visible positions), every score is bitwise one `dot_kernel`, and
+//! every kernel performs the per-row operations in the per-row order,
+//! so every path folds the same values in the same order and all three
+//! stay bitwise identical to each other.
 
 use crate::blockpool::BlockPool;
 use crate::config::EngineConfig;
-use crate::flash::OnlineSoftmax;
+use crate::flash::{weigh_lanes, weighted_sum, weighted_sum_lanes, OnlineSoftmax, LANES};
 use crate::model::{Linear, Workspace};
 use crate::quant::QuantMode;
-use crate::tensor::{dot2x2, dot_kernel, Matrix, RopeTable, PARALLEL_FLOP_THRESHOLD};
+use crate::tensor::{score1, score4, Matrix, RopeTable, PARALLEL_FLOP_THRESHOLD};
 use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
@@ -43,6 +48,12 @@ pub const DEFAULT_BLOCK_TOKENS: usize = 16;
 /// row's window is read and scored once per tile instead of once per
 /// row.
 const PREFILL_TILE_ROWS: usize = 8;
+
+/// Positions per softmax chunk: the core folds `[pos, next multiple of
+/// SPAN)` at a time, whatever the KV block size, so per-call overhead
+/// is paid once per span and chunk boundaries depend only on (window
+/// start, visible positions).
+const SPAN: usize = 64;
 
 /// One fixed-size block of KV storage: `block_tokens` consecutive
 /// positions across every layer. Keys/values for layer `l`, in-block
@@ -320,14 +331,18 @@ impl Attention {
     /// `v = first_visible + r`) writes the concatenated head outputs of
     /// every row into `out`.
     ///
-    /// Per KV head, cached positions are folded one KV-block chunk at a
-    /// time. A block inside every row's window is read and scored once
-    /// for the whole (rows × GQA group heads) tile; the leading chunks
-    /// of a sliding window and the diagonal chunks past the first row's
-    /// end are scored per row. Either way each (row, head) folds the
-    /// same chunks in the same order as a 1-row tile would — chunk
-    /// boundaries depend only on (window start, visible, block size) —
-    /// so decode, prefill and batched paths stay bitwise identical.
+    /// Per KV head, cached positions are folded one span chunk
+    /// `[pos, next multiple of SPAN)` at a time. The SPAN-aligned range
+    /// `[lo, hi)` inside every row's window is folded once for the whole
+    /// (rows × GQA group heads) tile; the leading chunks of a sliding
+    /// window and the diagonal chunks past the first row's end are
+    /// folded per row. Either way each (row, head) folds the same chunks
+    /// in the same order as a 1-row tile would — chunk boundaries depend
+    /// only on (window start, visible), not on the KV block size or the
+    /// tile — and each chunk goes through the split fold: scores,
+    /// `weigh` (max, rescale, the engine's `exp_f32`, normalizer), then
+    /// the weighted value sum. All of it is inside the bitwise contract,
+    /// so decode, prefill, batched and prefix-hit paths stay identical.
     fn attend_tile(
         &self,
         q: &[f32],
@@ -339,22 +354,21 @@ impl Attention {
     ) {
         let width = self.heads * self.head_dim;
         let rows = q.len() / width;
-        let bt = cache.block_tokens;
         let window_start = |visible: usize| match self.sliding_window {
             Some(w) => visible.saturating_sub(w),
             None => 0,
         };
-        // Blocks `[lo, hi)` lie inside every row's window: the last row's
+        // Spans `[lo, hi)` lie inside every row's window: the last row's
         // window starts latest, the first row's prefix ends earliest.
-        let lo = window_start(first_visible + rows - 1).next_multiple_of(bt);
-        let hi = first_visible / bt * bt;
+        let lo = window_start(first_visible + rows - 1).next_multiple_of(SPAN);
+        let hi = first_visible / SPAN * SPAN;
         let (lo, hi) = if lo < hi {
             (lo, hi)
         } else {
             (usize::MAX, usize::MAX)
         };
         let group = self.heads / self.kv_heads;
-        scratch.scores.resize(rows * group * bt, 0.0);
+        scratch.scores.resize(span_scores(rows * group), 0.0);
         scratch.states.clear();
         scratch
             .states
@@ -401,7 +415,7 @@ impl Attention {
         self.rope_qk(&mut q, &mut k, pos);
         cache.append(layer, &k, &v);
         let mut out = vec![0.0f32; self.heads * self.head_dim];
-        let mut scratch = TileScratch::new(1, self.heads, self.kv_heads, cache.block_tokens);
+        let mut scratch = TileScratch::new(1, self.heads, self.kv_heads);
         self.attend_tile(
             &q,
             layer,
@@ -471,8 +485,7 @@ impl Attention {
             flops >= PARALLEL_FLOP_THRESHOLD,
             |r0, tile| {
                 let rows = tile.len() / width;
-                let mut scratch =
-                    TileScratch::new(rows, self.heads, self.kv_heads, cache.block_tokens);
+                let mut scratch = TileScratch::new(rows, self.heads, self.kv_heads);
                 let q = &q.data()[r0 * width..(r0 + rows) * width];
                 self.attend_tile(q, layer, cache, start + r0 + 1, &mut scratch, tile);
             },
@@ -500,7 +513,7 @@ impl Attention {
         let mut k = self.wk.matmul_mat(xs);
         let v = self.wv.matmul_mat(xs);
         let mut out = Matrix::zeros(b, self.heads * self.head_dim);
-        let mut scratch = TileScratch::new(1, self.heads, self.kv_heads, DEFAULT_BLOCK_TOKENS);
+        let mut scratch = TileScratch::new(1, self.heads, self.kv_heads);
         for i in 0..b {
             self.rope_qk(q.row_mut(i), k.row_mut(i), positions[i]);
             caches[i].append(layer, k.row(i), v.row(i));
@@ -518,10 +531,10 @@ impl Attention {
     }
 }
 
-/// Reusable scratch of the attention core: one chunk of scores for
-/// every query of a tile's GQA group, and one online-softmax state per
-/// (row, head). Sized once per tile shape, so a decode loop that keeps
-/// one allocates nothing.
+/// Reusable scratch of the attention core: one span of lane-interleaved
+/// scores for every query of a tile's GQA group, and one online-softmax
+/// state per (row, head). Sized once per tile shape, so a decode loop
+/// that keeps one allocates nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct TileScratch {
     scores: Vec<f32>,
@@ -529,18 +542,21 @@ pub(crate) struct TileScratch {
 }
 
 impl TileScratch {
-    /// Scratch for tiles of up to `rows` query rows against caches of
-    /// `block_tokens`-position blocks (it grows on first use if a
-    /// cache's blocks are larger).
-    pub(crate) fn new(rows: usize, heads: usize, kv_heads: usize, block_tokens: usize) -> Self {
+    /// Scratch for tiles of up to `rows` query rows.
+    pub(crate) fn new(rows: usize, heads: usize, kv_heads: usize) -> Self {
         Self {
-            scores: Vec::with_capacity(rows * heads / kv_heads * block_tokens),
+            scores: Vec::with_capacity(span_scores(rows * heads / kv_heads)),
             states: Vec::with_capacity(rows * heads),
         }
     }
 }
 
-/// What every chunk fold of one [`Attention::attend_tile`] call shares.
+/// Score slots for `nq` queries over one span: whole lane groups.
+fn span_scores(nq: usize) -> usize {
+    nq.next_multiple_of(LANES) * SPAN
+}
+
+/// What every span fold of one [`Attention::attend_tile`] call shares.
 struct Tile<'a> {
     attn: &'a Attention,
     q: &'a [f32],
@@ -550,9 +566,12 @@ struct Tile<'a> {
 
 impl Tile<'_> {
     /// Fold cached positions `[from, to)` of KV head `kvh` into tile
-    /// rows `rows`, one KV-block chunk at a time: score the chunk for
-    /// all `rows × group` queries at once, then fold each query's
-    /// scores into its (row, head) accumulator in `out`.
+    /// rows `rows`, one span chunk `[pos, next multiple of SPAN)` at a
+    /// time. The `rows × group` queries go in lane groups of [`LANES`]
+    /// (the last padded with copies of its last query): each group
+    /// scores the chunk's keys, weighs its lanes, then adds the
+    /// weighted value rows into its (row, head) accumulators in `out`,
+    /// walking the chunk's KV-block pieces in position order.
     fn fold(
         &self,
         kvh: usize,
@@ -571,72 +590,81 @@ impl Tile<'_> {
         // softmax state share one index.
         let slot = |i: usize| (rows.start + i / group) * heads + kvh * group + i % group;
         let nq = rows.len() * group;
+        // The KV-block pieces of `[pos, end)`: (block, first position,
+        // length), with the offset of KV head `kvh` in the block slab.
+        let pieces = |pos: usize, end: usize| {
+            let mut at = pos;
+            std::iter::from_fn(move || {
+                (at < end).then(|| {
+                    let (block, start) = (at / bt, at);
+                    at = end.min((block + 1) * bt);
+                    (block, start, at - start, (start % bt) * kv_dim + kvh * d)
+                })
+            })
+        };
         let mut pos = from;
         while pos < to {
-            let block = pos / bt;
-            let end = to.min((block + 1) * bt);
+            let end = to.min((pos / SPAN + 1) * SPAN);
             let n = end - pos;
-            let at = (pos % bt) * kv_dim + kvh * d;
-            let keys = &self.cache.layer_keys(self.layer, block)[at..];
-            let vals = &self.cache.layer_vals(self.layer, block)[at..];
-            let scores = &mut scratch.scores[..nq * n];
-            score_chunk(
-                |i| &self.q[slot(i) * d..][..d],
-                nq,
-                keys,
-                kv_dim,
-                d,
-                scale,
-                scores,
-            );
-            for (i, s) in scores.chunks_exact_mut(n).enumerate() {
-                let o = slot(i);
-                scratch.states[o].fold(s, &mut out[o * d..][..d], vals, kv_dim);
+            let groups =
+                scratch.scores[..nq.next_multiple_of(LANES) * n].chunks_exact_mut(LANES * n);
+            for (g, lanes) in groups.enumerate() {
+                let real = (nq - g * LANES).min(LANES);
+                if real == 1 {
+                    // A lone query (MHSA decode, a diagonal row): keys
+                    // take the lanes instead, so no lane is padding.
+                    let s = slot(g * LANES);
+                    let (q, scores) = (&self.q[s * d..][..d], &mut lanes[..n]);
+                    for (block, start, len, at) in pieces(pos, end) {
+                        score1(
+                            q,
+                            &self.cache.layer_keys(self.layer, block)[at..],
+                            kv_dim,
+                            scale,
+                            &mut scores[start - pos..][..len],
+                        );
+                    }
+                    let acc = &mut out[s * d..][..d];
+                    if scratch.states[s].weigh(scores, acc) {
+                        for (block, start, len, at) in pieces(pos, end) {
+                            weighted_sum(
+                                acc,
+                                &scores[start - pos..][..len],
+                                &self.cache.layer_vals(self.layer, block)[at..],
+                                kv_dim,
+                            );
+                        }
+                    }
+                    continue;
+                }
+                let slots: [usize; LANES] =
+                    std::array::from_fn(|k| slot(g * LANES + k.min(real - 1)));
+                let q = slots.map(|s| &self.q[s * d..][..d]);
+                for (block, start, len, at) in pieces(pos, end) {
+                    score4(
+                        q,
+                        &self.cache.layer_keys(self.layer, block)[at..],
+                        kv_dim,
+                        scale,
+                        &mut lanes[LANES * (start - pos)..][..LANES * len],
+                    );
+                }
+                let slots = &slots[..real];
+                let live = weigh_lanes(&mut scratch.states, out, slots, lanes);
+                for (block, start, len, at) in pieces(pos, end) {
+                    weighted_sum_lanes(
+                        out,
+                        d,
+                        slots,
+                        live,
+                        &lanes[LANES * (start - pos)..],
+                        &self.cache.layer_vals(self.layer, block)[at..],
+                        kv_dim,
+                        len,
+                    );
+                }
             }
             pos = end;
-        }
-    }
-}
-
-/// `scores[i * n + j] = scale · (query(i) · key_j)` for `nq` queries and
-/// the `n = scores.len() / nq` keys `keys[j * stride..][..d]`: 2×2 at a
-/// time through [`dot2x2`], so each loaded key and query serves two
-/// dots, and the odd remainders through [`dot_kernel`]. Both produce
-/// the same bits as one [`dot_kernel`] per pair.
-fn score_chunk<'q>(
-    query: impl Fn(usize) -> &'q [f32],
-    nq: usize,
-    keys: &[f32],
-    stride: usize,
-    d: usize,
-    scale: f32,
-    scores: &mut [f32],
-) {
-    let n = scores.len() / nq;
-    let key = |j: usize| &keys[j * stride..][..d];
-    let mut i = 0;
-    while i + 2 <= nq {
-        let (q0, q1) = (query(i), query(i + 1));
-        let (s0, s1) = scores[i * n..(i + 2) * n].split_at_mut(n);
-        let mut j = 0;
-        while j + 2 <= n {
-            let t = dot2x2(key(j), key(j + 1), q0, q1);
-            s0[j] = t[0] * scale;
-            s0[j + 1] = t[1] * scale;
-            s1[j] = t[2] * scale;
-            s1[j + 1] = t[3] * scale;
-            j += 2;
-        }
-        if j < n {
-            s0[j] = dot_kernel(q0, key(j)) * scale;
-            s1[j] = dot_kernel(q1, key(j)) * scale;
-        }
-        i += 2;
-    }
-    if i < nq {
-        let q0 = query(i);
-        for (j, s) in scores[i * n..].iter_mut().enumerate() {
-            *s = dot_kernel(q0, key(j)) * scale;
         }
     }
 }

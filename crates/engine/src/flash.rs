@@ -6,30 +6,41 @@
 //! chunk raises the maximum, the partial accumulator and normalizer are
 //! rescaled by `exp(m_old − m_new)`. One [`OnlineSoftmax::finish`]
 //! division at the end yields exactly a softmax-weighted sum — without
-//! the full score row for a long context ever being materialized. The
-//! engine's tiled attention core (`Attention::attend_tile`) scores one
-//! KV-block chunk for a whole tile of query rows and GQA heads at once,
-//! then folds each (row, head)'s slice of those scores here, so the
-//! working set per head is one block of scores, not `O(context)`.
+//! the full score row for a long context ever being materialized.
+//!
+//! A fold has two halves. [`OnlineSoftmax::weigh`] takes the chunk
+//! maximum, rescales, turns scores into weights `exp(s − m)` and adds
+//! them to the normalizer in order; [`weighted_sum`] then adds
+//! `Σ p_j · v_j` into the accumulator, one multiply and one add per
+//! element and row, in row order. [`OnlineSoftmax::fold`] is their
+//! composition. The engine's attention core (`Attention::attend_tile`)
+//! runs the halves as lane-parallel kernels over the queries of a tile
+//! that share a KV head: [`weigh_lanes`] weighs four queries at once
+//! (lane = query) with exactly the per-row operations, and
+//! [`weighted_sum_lanes`] adds two queries' weighted sums per pass over
+//! the shared value rows. Every exponential is the engine's own
+//! [`crate::tensor::exp_f32`] (or its SSE2 form, bitwise the same), so
+//! no result depends on the platform's libm.
 //!
 //! **Determinism.** For a fixed chunking the result is a pure function
-//! of the inputs, and the engine chunks on KV-block boundaries, which
-//! depend only on (window start, visible positions, block size) — the
+//! of the inputs, and the engine chunks on 64-position spans, whose
+//! boundaries depend only on (window start, visible positions) — the
 //! decode, prefill, and batched paths therefore fold in the same order
-//! and stay bitwise identical to each other. The block form of
-//! [`OnlineSoftmax::fold`] runs its exponentials, normalizer sum and
-//! weighted value sum as separate passes, but each output element sees
-//! the same operations in the same order as a one-score-at-a-time fold.
-//! (The fused result is *not* bitwise equal to a two-pass softmax — it
-//! is the same sum with a different normalization order — which is
-//! fine: no reference path in the engine uses the two-pass form
-//! anymore.)
+//! and stay bitwise identical to each other, whatever the KV block size.
+//! The lane kernels and the per-row functions give the same bits (a
+//! zero maximum's sign may differ, and never reaches an output: the
+//! maximum enters only through differences and comparisons). (The fused
+//! result is *not* bitwise equal to a two-pass softmax — it is the same
+//! sum with a different normalization order — which is fine: no
+//! reference path in the engine uses the two-pass form anymore.)
 //!
 //! **Guards** match [`crate::tensor::softmax_in_place`]: a row of only
 //! `-inf` (fully masked) scores yields zero weights rather than NaN;
 //! finite scores of any magnitude cannot overflow because every
 //! exponent is `exp(s − m) ≤ 1`; NaN scores propagate to the output
 //! (NaN means an upstream bug — hiding it would mask it).
+
+use crate::tensor::{exp_f32, exp_in_place};
 
 /// Running state of a blocked online softmax over one attention row.
 #[derive(Debug, Clone)]
@@ -61,26 +72,51 @@ impl OnlineSoftmax {
     /// row-major matrix). `scores` is overwritten with the weights
     /// `exp(s_i − m)`.
     ///
-    /// The block form runs three passes — exponentials, then the
-    /// normalizer sum, then the weighted value sum with `acc` held in
-    /// registers — but every output element still sees the same
-    /// operations in the same order as folding one score at a time, so
-    /// the result is bitwise unchanged by the pass structure.
+    /// The composition of `weigh` (chunk maximum, rescale, weights,
+    /// normalizer) and `weighted_sum` (the weighted value rows); every
+    /// output element sees the same operations in the same order as
+    /// folding one score at a time.
     pub fn fold(&mut self, scores: &mut [f32], acc: &mut [f32], vals: &[f32], stride: usize) {
+        if self.weigh(scores, acc) {
+            weighted_sum(acc, scores, vals, stride);
+        }
+    }
+
+    /// The first half of [`OnlineSoftmax::fold`]: raise the running
+    /// maximum to cover `scores` (rescaling the normalizer and `acc` by
+    /// `exp(m_old − m_new)` if it rises over a nonzero normalizer),
+    /// overwrite `scores` with the weights `exp(s_i − m)` and add them to
+    /// the normalizer in order. Returns `false`, leaving `scores`
+    /// untouched, when every score seen so far is `-inf`: nothing may
+    /// then be added to `acc`.
+    pub(crate) fn weigh(&mut self, scores: &mut [f32], acc: &mut [f32]) -> bool {
         let chunk_max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        if !self.raise(chunk_max, acc) {
+            return false;
+        }
+        for s in scores.iter_mut() {
+            *s -= self.m;
+        }
+        exp_in_place(scores);
+        for &p in scores.iter() {
+            self.l += p;
+        }
+        true
+    }
+
+    /// Move the running maximum up to `chunk_max`. Returns `false` when
+    /// everything seen so far is masked out: nothing contributes, and
+    /// `exp(-inf - -inf)` would manufacture NaN.
+    fn raise(&mut self, chunk_max: f32, acc: &mut [f32]) -> bool {
         let m_new = self.m.max(chunk_max);
         if m_new == f32::NEG_INFINITY {
-            // Everything seen so far is masked out: nothing contributes,
-            // and `exp(-inf - -inf)` would manufacture NaN.
-            return;
+            return false;
         }
         if m_new > self.m {
-            // A new maximum: rescale the partial normalizer and
-            // accumulator from base `m` to base `m_new`. On the first
-            // finite chunk `l` is still 0 and `acc` all-zero, so the
-            // rescale is skipped entirely (avoiding `exp(-inf)` work).
+            // On the first finite chunk `l` is still 0 and `acc`
+            // all-zero, so the rescale is skipped entirely.
             if self.l != 0.0 {
-                let corr = (self.m - m_new).exp();
+                let corr = exp_f32(self.m - m_new);
                 self.l *= corr;
                 for a in acc.iter_mut() {
                     *a *= corr;
@@ -88,23 +124,7 @@ impl OnlineSoftmax {
             }
             self.m = m_new;
         }
-        for s in scores.iter_mut() {
-            *s = (*s - self.m).exp();
-        }
-        for &p in scores.iter() {
-            self.l += p;
-        }
-        match acc.len() {
-            8 => weighted_sum::<8>(acc, scores, vals, stride),
-            16 => weighted_sum::<16>(acc, scores, vals, stride),
-            32 => weighted_sum::<32>(acc, scores, vals, stride),
-            64 => weighted_sum::<64>(acc, scores, vals, stride),
-            d => {
-                for (i, &p) in scores.iter().enumerate() {
-                    axpy(acc, p, &vals[i * stride..][..d]);
-                }
-            }
-        }
+        true
     }
 
     /// Normalize the accumulator: divide by the running normalizer,
@@ -125,38 +145,121 @@ impl OnlineSoftmax {
     }
 }
 
-/// `acc += Σ_i weights[i] * v_i` for a head width `D` known at compile
-/// time: the accumulator lives in registers across the whole chunk
-/// instead of being loaded and stored once per value row. Each element
-/// still takes one multiply and one add per row, in row order — the
-/// same roundings as [`axpy`].
-#[inline]
-fn weighted_sum<const D: usize>(acc: &mut [f32], weights: &[f32], vals: &[f32], stride: usize) {
-    let acc: &mut [f32; D] = acc.try_into().expect("head width");
-    let mut a = *acc;
-    for (i, &p) in weights.iter().enumerate() {
-        let v: &[f32; D] = vals[i * stride..][..D].try_into().expect("head width");
-        for (x, &y) in a.iter_mut().zip(v) {
-            *x += p * y;
-        }
-    }
-    *acc = a;
-}
+/// Queries per lane group of the attention core's score, weigh and
+/// weighted-sum kernels (one SSE2 register of f32 lanes).
+pub(crate) const LANES: usize = 4;
 
-/// `acc[i] += p * v[i]`, dispatched to the SSE2 backend on x86_64.
-/// Elementwise (one multiply, one add per element), so scalar and SIMD
-/// forms are bitwise identical.
-#[inline]
-fn axpy(acc: &mut [f32], p: f32, v: &[f32]) {
+/// [`OnlineSoftmax::weigh`] for up to [`LANES`] rows at once, lane `i`
+/// (`lanes[LANES * j + i]`, score of key `j`) belonging to row
+/// `slots[i]`: its softmax state `states[slots[i]]` and its accumulator
+/// `accs[slots[i] * d..][..d]`, `d = accs.len() / states.len()`. Lanes
+/// past `slots.len()` are padding and are ignored. Returns which lanes
+/// may be folded; each real lane ends bitwise as a per-row `weigh`.
+pub(crate) fn weigh_lanes(
+    states: &mut [OnlineSoftmax],
+    accs: &mut [f32],
+    slots: &[usize],
+    lanes: &mut [f32],
+) -> [bool; LANES] {
+    let d = accs.len() / states.len();
+    let mut live = [false; LANES];
     #[cfg(target_arch = "x86_64")]
     {
-        crate::simd::axpy_f32(acc, p, v);
+        let mut m = [f32::NEG_INFINITY; LANES];
+        let mut l = [0.0f32; LANES];
+        for (i, &s) in slots.iter().enumerate() {
+            (m[i], l[i]) = (states[s].m, states[s].l);
+        }
+        let (lane_live, corr) = crate::simd::weigh4_f32(lanes, &mut m, &mut l);
+        for (i, &s) in slots.iter().enumerate() {
+            states[s] = OnlineSoftmax { m: m[i], l: l[i] };
+            if let Some(c) = corr[i] {
+                for a in &mut accs[s * d..][..d] {
+                    *a *= c;
+                }
+            }
+            live[i] = lane_live[i];
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        debug_assert_eq!(acc.len(), v.len());
-        for (a, b) in acc.iter_mut().zip(v) {
-            *a += p * *b;
+        for (i, &s) in slots.iter().enumerate() {
+            let st = &mut states[s];
+            let lane = || lanes.iter().skip(i).step_by(LANES);
+            let chunk_max = lane().copied().fold(f32::NEG_INFINITY, f32::max);
+            live[i] = st.raise(chunk_max, &mut accs[s * d..][..d]);
+            if live[i] {
+                for p in lanes.iter_mut().skip(i).step_by(LANES) {
+                    *p = exp_f32(*p - st.m);
+                    st.l += *p;
+                }
+            }
+        }
+    }
+    live
+}
+
+/// `acc += Σ_j weights[j] * v_j`, with value row `v_j` at
+/// `vals[j * stride..][..acc.len()]`: one multiply and one add per
+/// element and row, in row order — the roundings of a per-row axpy.
+pub(crate) fn weighted_sum(acc: &mut [f32], weights: &[f32], vals: &[f32], stride: usize) {
+    multi_weighted_sum([acc], [weights], 1, vals, stride, weights.len());
+}
+
+/// [`weighted_sum`] for the live lanes of one lane group, two queries
+/// per pass over the `n` shared value rows: lane `i`'s weights are
+/// `lanes[LANES * j + i]` and its accumulator `accs[slots[i] * d..][..d]`
+/// (`slots` ascending). Bitwise equal to one [`weighted_sum`] per lane.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn weighted_sum_lanes(
+    accs: &mut [f32],
+    d: usize,
+    slots: &[usize],
+    live: [bool; LANES],
+    lanes: &[f32],
+    vals: &[f32],
+    stride: usize,
+    n: usize,
+) {
+    let mut todo = slots.iter().zip(live).enumerate().filter(|(_, (_, l))| *l);
+    while let Some((a, (&sa, _))) = todo.next() {
+        let wa = &lanes[a..];
+        match todo.next() {
+            Some((b, (&sb, _))) => {
+                let (lo, hi) = accs.split_at_mut(sb * d);
+                let pair = [&mut lo[sa * d..][..d], &mut hi[..d]];
+                multi_weighted_sum(pair, [wa, &lanes[b..]], LANES, vals, stride, n);
+            }
+            None => multi_weighted_sum([&mut accs[sa * d..][..d]], [wa], LANES, vals, stride, n),
+        }
+    }
+}
+
+/// `Q` weighted sums over shared value rows, query `q`'s weight of row
+/// `j` at `weights[q][j * wstride]`: the SSE2 kernel on x86_64,
+/// per-query scalar loops elsewhere.
+fn multi_weighted_sum<const Q: usize>(
+    accs: [&mut [f32]; Q],
+    weights: [&[f32]; Q],
+    wstride: usize,
+    vals: &[f32],
+    stride: usize,
+    n: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        crate::simd::weighted_sum_f32(accs, weights, wstride, vals, stride, n);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        for (acc, w) in accs.into_iter().zip(weights) {
+            let d = acc.len();
+            for j in 0..n {
+                let p = w[j * wstride];
+                for (a, v) in acc.iter_mut().zip(&vals[j * stride..][..d]) {
+                    *a += p * v;
+                }
+            }
         }
     }
 }
@@ -211,14 +314,14 @@ mod tests {
         }
         if m_new > *m {
             if *l != 0.0 {
-                let corr = (*m - m_new).exp();
+                let corr = exp_f32(*m - m_new);
                 *l *= corr;
                 acc.iter_mut().for_each(|a| *a *= corr);
             }
             *m = m_new;
         }
         for (i, &s) in scores.iter().enumerate() {
-            let p = (s - *m).exp();
+            let p = exp_f32(s - *m);
             *l += p;
             for (a, v) in acc.iter_mut().zip(&vals[i * stride..]) {
                 *a += p * v;
@@ -299,6 +402,103 @@ mod tests {
                 prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()));
             }
         }
+    }
+
+    /// `n` keys of four lane-interleaved rows; lane `i`'s scores are
+    /// fully masked when bit `i` of `masked` is set, and otherwise carry
+    /// a `-inf` at every multiple of `hole` (when nonzero).
+    fn lane_scores(n: usize, seed: u64, masked: u8, hole: usize) -> Vec<f32> {
+        let m = crate::tensor::Matrix::random(n, LANES, seed, 6.0);
+        let mut lanes = m.data().to_vec();
+        for (k, s) in lanes.iter_mut().enumerate() {
+            let (j, i) = (k / LANES, k % LANES);
+            if masked >> i & 1 == 1 || (hole > 0 && j % hole == 0) {
+                *s = f32::NEG_INFINITY;
+            }
+        }
+        lanes
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn weigh_lanes_is_bitwise_the_per_row_weigh(
+            n in 1usize..70,
+            first in 1usize..9,
+            seed in 0u64..40,
+            masked in 0u8..16,
+            hole in 0usize..5,
+            real in 1usize..=LANES,
+        ) {
+            // Each lane carries its own state (one first chunk folded
+            // already, so maxima rise or not and normalizers rescale),
+            // with fully masked lanes and padding lanes past `real`.
+            let d = 6;
+            let slots: Vec<usize> = (0..real).map(|i| 2 * i + 1).collect();
+            let mut states = vec![OnlineSoftmax::new(); 2 * LANES];
+            let mut accs = crate::tensor::Matrix::random(2 * LANES, d, seed, 1.0).data().to_vec();
+            let vals = crate::tensor::Matrix::random(first, d, seed + 1, 1.0);
+            for (i, &s) in slots.iter().enumerate() {
+                let warm = lane_scores(first, seed + 2, masked >> 1, 0);
+                let mut row: Vec<f32> = warm.iter().skip(i).step_by(LANES).copied().collect();
+                states[s].fold(&mut row, &mut accs[s * d..][..d], vals.data(), d);
+            }
+            let mut lanes = lane_scores(n, seed + 3, masked, hole);
+            let (mut ref_states, mut ref_accs) = (states.clone(), accs.clone());
+            let live = weigh_lanes(&mut states, &mut accs, &slots, &mut lanes);
+            for (i, &s) in slots.iter().enumerate() {
+                let mut row: Vec<f32> = lanes_row(&lane_scores(n, seed + 3, masked, hole), i);
+                let ok = ref_states[s].weigh(&mut row, &mut ref_accs[s * d..][..d]);
+                prop_assert_eq!(live[i], ok, "lane {}", i);
+                prop_assert_eq!(
+                    (states[s].m.to_bits(), states[s].l.to_bits()),
+                    (ref_states[s].m.to_bits(), ref_states[s].l.to_bits()),
+                    "lane {} state", i
+                );
+                if ok {
+                    prop_assert_eq!(bits(&lanes_row(&lanes, i)), bits(&row), "lane {} weights", i);
+                }
+            }
+            prop_assert_eq!(bits(&accs), bits(&ref_accs));
+        }
+
+        #[test]
+        fn multi_query_weighted_sum_is_bitwise_per_query(
+            n in 1usize..70,
+            dim_idx in 0usize..6,
+            pad in 0usize..3,
+            seed in 0u64..40,
+            live_bits in 0u8..16,
+            real in 1usize..=LANES,
+        ) {
+            // Two queries per pass over shared value rows, any width
+            // (register strips of 16 and 4 columns plus a scalar
+            // tail), skipped lanes and odd live counts.
+            let d = [1usize, 4, 7, 16, 24, 37][dim_idx];
+            let stride = d + pad;
+            let vals = crate::tensor::Matrix::random(n, stride, seed, 1.0);
+            let lanes = crate::tensor::Matrix::random(n, LANES, seed + 1, 1.0).data().to_vec();
+            let slots: Vec<usize> = (0..real).map(|i| i * 2).collect();
+            let live: [bool; LANES] = std::array::from_fn(|i| live_bits >> i & 1 == 1);
+            let accs = crate::tensor::Matrix::random(2 * LANES, d, seed + 2, 1.0).data().to_vec();
+            let mut multi = accs.clone();
+            weighted_sum_lanes(&mut multi, d, &slots, live, &lanes, vals.data(), stride, n);
+            let mut single = accs;
+            for (i, &s) in slots.iter().enumerate() {
+                if live[i] {
+                    weighted_sum(&mut single[s * d..][..d], &lanes_row(&lanes, i), vals.data(), stride);
+                }
+            }
+            prop_assert_eq!(bits(&multi), bits(&single));
+        }
+    }
+
+    /// Lane `i` of lane-interleaved scores, as one contiguous row.
+    fn lanes_row(lanes: &[f32], i: usize) -> Vec<f32> {
+        lanes.iter().skip(i).step_by(LANES).copied().collect()
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   stacks concurrent sequences so weights stream once per step instead
 //!   of once per sequence.
 
-use crate::attention::{Attention, KvCache, TileScratch, DEFAULT_BLOCK_TOKENS};
+use crate::attention::{Attention, KvCache, TileScratch};
 use crate::blockpool::BlockPool;
 use crate::config::EngineConfig;
 use crate::moe::MoeFfn;
@@ -308,7 +308,7 @@ impl TransformerModel {
             v: vec![0.0; c.kv_dim()],
             attn: vec![0.0; c.hidden],
             proj: vec![0.0; c.hidden],
-            attn_tile: TileScratch::new(1, c.heads, c.kv_heads, DEFAULT_BLOCK_TOKENS),
+            attn_tile: TileScratch::new(1, c.heads, c.kv_heads),
             gate: vec![0.0; c.intermediate],
             up: vec![0.0; c.intermediate],
             expert: vec![0.0; c.hidden],

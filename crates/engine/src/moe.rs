@@ -10,7 +10,7 @@
 use crate::config::EngineConfig;
 use crate::model::{Linear, Workspace};
 use crate::quant::{QuantMode, QuantScratch};
-use crate::tensor::{silu, softmax_in_place, Matrix};
+use crate::tensor::{silu_mul_in_place, softmax_in_place, Matrix};
 
 /// One SwiGLU expert: `w2 · (silu(w1·x) ⊙ (w3·x))`.
 #[derive(Debug, Clone)]
@@ -31,10 +31,10 @@ impl Expert {
     }
 
     fn forward(&self, x: &[f32]) -> Vec<f32> {
-        let gate = self.w1.matmul_vec(x);
+        let mut gate = self.w1.matmul_vec(x);
         let up = self.w3.matmul_vec(x);
-        let act: Vec<f32> = gate.iter().zip(&up).map(|(g, u)| silu(*g) * u).collect();
-        self.w2.matmul_vec(&act)
+        silu_mul_in_place(&mut gate, &up);
+        self.w2.matmul_vec(&gate)
     }
 
     /// [`Expert::forward`] against caller-provided scratch buffers.
@@ -48,9 +48,7 @@ impl Expert {
     ) {
         self.w1.matmul_vec_into(x, gate, xq);
         self.w3.matmul_vec_into(x, up, xq);
-        for (g, u) in gate.iter_mut().zip(up.iter()) {
-            *g = silu(*g) * u;
-        }
+        silu_mul_in_place(gate, up);
         self.w2.matmul_vec_into(gate, out, xq);
     }
 
@@ -60,9 +58,7 @@ impl Expert {
         let mut gate = self.w1.matmul_mat(xs);
         let up = self.w3.matmul_mat(xs);
         for t in 0..gate.rows() {
-            for (g, u) in gate.row_mut(t).iter_mut().zip(up.row(t)) {
-                *g = silu(*g) * u;
-            }
+            silu_mul_in_place(gate.row_mut(t), up.row(t));
         }
         self.w2.matmul_mat(&gate)
     }

@@ -1,5 +1,16 @@
 //! Minimal dense linear algebra: row-major matrices and the handful of
 //! kernels a decoder-only transformer needs.
+//!
+//! **Kernel dispatch.** Each hot kernel here is one function chosen by
+//! target, with no build option or runtime switch: on x86_64 (SSE2 is
+//! baseline) it calls the SSE2 form in `simd`, elsewhere the portable
+//! scalar loop. The dot products (`dot_kernel`, the GEMM tiles
+//! `dot4x2`/`dot2x2`, the attention scores `score4`/`score1`), the
+//! exponential (`exp_in_place` over [`exp_f32`]) and the SwiGLU
+//! activation (`silu_mul_in_place`) all perform the same IEEE
+//! operations in the same order on both forms — no FMA, no libm — so
+//! every target produces bitwise-identical model output, and `simd`'s
+//! tests assert it against the scalar references.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -278,11 +289,53 @@ fn dot4x2(w: [&[f32]; 4], x0: &[f32], x1: &[f32]) -> [f32; 8] {
     }
 }
 
-/// 2×2 micro-kernel dispatch: the SSE2 variant on x86_64 (bitwise
-/// identical — see [`dot_kernel`]), [`dot2x2_scalar`] elsewhere. Shared
-/// by the GEMM's remainders and the attention core's score tiles.
+/// Attention scores of four queries against `n = out.len() / 4` keys,
+/// query-interleaved: `out[4 * j + i] = dot_kernel(q[i], key_j) * scale`
+/// with key `j` at `keys[j * stride..][..d]`. The SSE2 variant on
+/// x86_64 runs the 4×2 tile over key pairs and reduces in registers;
+/// elsewhere one [`dot_unrolled`] per score. Bitwise identical.
 #[inline]
-pub(crate) fn dot2x2(w0: &[f32], w1: &[f32], x0: &[f32], x1: &[f32]) -> [f32; 4] {
+pub(crate) fn score4(q: [&[f32]; 4], keys: &[f32], stride: usize, scale: f32, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        crate::simd::score4_f32(q, keys, stride, scale, out);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let d = q[0].len();
+        for (j, o) in out.chunks_exact_mut(4).enumerate() {
+            let key = &keys[j * stride..][..d];
+            for (o, q) in o.iter_mut().zip(q) {
+                *o = dot_unrolled(q, key) * scale;
+            }
+        }
+    }
+}
+
+/// Attention scores of one query against `n = out.len()` keys:
+/// `out[j] = dot_kernel(q, key_j) * scale` with key `j` at
+/// `keys[j * stride..][..d]` — the SSE2 tile over four keys at a time
+/// on x86_64, one [`dot_unrolled`] per score elsewhere. Bitwise
+/// identical.
+#[inline]
+pub(crate) fn score1(q: &[f32], keys: &[f32], stride: usize, scale: f32, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        crate::simd::score1_f32(q, keys, stride, scale, out);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        for (j, o) in out.iter_mut().enumerate() {
+            *o = dot_unrolled(q, &keys[j * stride..][..q.len()]) * scale;
+        }
+    }
+}
+
+/// 2×2 micro-kernel dispatch: the SSE2 variant on x86_64 (bitwise
+/// identical — see [`dot_kernel`]), [`dot2x2_scalar`] elsewhere, for
+/// the GEMM's remainders.
+#[inline]
+fn dot2x2(w0: &[f32], w1: &[f32], x0: &[f32], x1: &[f32]) -> [f32; 4] {
     #[cfg(target_arch = "x86_64")]
     {
         crate::simd::dot2x2_f32(w0, w1, x0, x1)
@@ -364,9 +417,107 @@ pub fn rmsnorm_into(x: &[f32], gain: &[f32], eps: f32, y: &mut [f32]) {
     }
 }
 
-/// SiLU activation `x * sigmoid(x)`.
+/// `log2(e)`, rounded to f32.
+pub(crate) const EXP_LOG2E: f32 = std::f32::consts::LOG2_E;
+/// `1.5 · 2²³`: adding it to an f32 of magnitude below 2²² rounds that
+/// value to the nearest integer (ties to even) and leaves the integer in
+/// the low mantissa bits.
+pub(crate) const EXP_MAGIC: f32 = 12_582_912.0;
+/// Cody–Waite split of `ln 2`: `EXP_LN2_HI` has 9 significant bits, so
+/// `n · EXP_LN2_HI` is exact for every `|n| ≤ 128`.
+pub(crate) const EXP_LN2_HI: f32 = 0.693_359_4;
+pub(crate) const EXP_LN2_LO: f32 = -2.121_944_4e-4;
+/// Largest f32 whose exponential is finite (just below `ln f32::MAX`).
+pub(crate) const EXP_HI: f32 = f32::from_bits(0x42B1_7217);
+/// Smallest f32 whose exponential is a normal float (just above
+/// `ln f32::MIN_POSITIVE`).
+pub(crate) const EXP_LO: f32 = f32::from_bits(0xC2AE_AC4F);
+/// Degree-5 minimax coefficients of `(e^r − 1 − r) / r²` on
+/// `|r| ≤ ln2 / 2` (Cephes `expf`), highest order first.
+pub(crate) const EXP_POLY: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    1.666_666_5e-1,
+    0.5,
+];
+
+/// The engine's exponential, within 2 ulp of `f32::exp` wherever the
+/// result is a normal float, and bitwise reproducible on every target:
+/// it calls no libm, uses no FMA, and the SSE2 form (`simd::exp_in_place`)
+/// performs the same IEEE operations per lane, so scalar and vector
+/// softmaxes agree bit for bit.
+///
+/// Cody–Waite range reduction: `n = round(x · log2 e)` by magic-number
+/// rounding, `r = (x − n · ln2_hi) − n · ln2_lo`, then
+/// `e^r ≈ ((P(r) · r²) + r) + 1` in a fixed Horner order, scaled by
+/// `2^n` by adding `n` to its exponent bits. That is exact because the
+/// result stays normal on `[EXP_LO, EXP_HI]`: `n = -126` only with
+/// `r > 0` (so `e^r > 1`), and `n = 128` only with `r < 0` (`e^r < 1`),
+/// so no `2^128` is ever formed.
+///
+/// Edges: NaN passes through; `x > ln f32::MAX` gives `+inf` (so
+/// `+inf → +inf`); `x < ln f32::MIN_POSITIVE` gives exactly `0` (so
+/// `-inf → 0`, and results that would be subnormal flush to zero).
+#[inline]
+pub(crate) fn exp_f32(x: f32) -> f32 {
+    if x > EXP_HI {
+        return f32::INFINITY;
+    }
+    if x < EXP_LO {
+        return 0.0;
+    }
+    if x.is_nan() {
+        return x;
+    }
+    let t = x * EXP_LOG2E + EXP_MAGIC;
+    let n = t - EXP_MAGIC;
+    let r = (x - n * EXP_LN2_HI) - n * EXP_LN2_LO;
+    let z = r * r;
+    let [p0, p1, p2, p3, p4, p5] = EXP_POLY;
+    let p = ((((p0 * r + p1) * r + p2) * r + p3) * r + p4) * r + p5;
+    let p = (p * z + r) + 1.0;
+    let k = (t.to_bits() as i32).wrapping_sub(EXP_MAGIC.to_bits() as i32);
+    f32::from_bits((p.to_bits() as i32).wrapping_add(k << 23) as u32)
+}
+
+/// `x[i] = exp_f32(x[i])`: the SSE2 form on x86_64, bitwise identical
+/// to the scalar loop it replaces elsewhere.
+#[inline]
+pub(crate) fn exp_in_place(x: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        crate::simd::exp_in_place(x);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        for v in x.iter_mut() {
+            *v = exp_f32(*v);
+        }
+    }
+}
+
+/// SiLU activation `x * sigmoid(x)`, as `x / (1 + exp_f32(-x))`.
 pub fn silu(x: f32) -> f32 {
-    x / (1.0 + (-x).exp())
+    x / (1.0 + exp_f32(-x))
+}
+
+/// The SwiGLU activation `gate[i] = silu(gate[i]) * up[i]`: the SSE2
+/// form on x86_64 (same IEEE operations per element as [`silu`], so
+/// bitwise identical), the scalar loop elsewhere.
+pub(crate) fn silu_mul_in_place(gate: &mut [f32], up: &[f32]) {
+    assert_eq!(gate.len(), up.len(), "gate/up width mismatch");
+    #[cfg(target_arch = "x86_64")]
+    {
+        crate::simd::silu_mul(gate, up);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        for (g, u) in gate.iter_mut().zip(up) {
+            *g = silu(*g) * u;
+        }
+    }
 }
 
 /// In-place numerically-stable softmax.
@@ -388,7 +539,7 @@ pub fn softmax_in_place(x: &mut [f32]) {
     }
     let mut sum = 0.0;
     for v in x.iter_mut() {
-        *v = (*v - max).exp();
+        *v = exp_f32(*v - max);
         sum += *v;
     }
     for v in x.iter_mut() {
@@ -674,7 +825,55 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    #[test]
+    fn exp_edges() {
+        assert!(exp_f32(f32::NAN).is_nan());
+        assert_eq!(exp_f32(f32::INFINITY), f32::INFINITY);
+        assert_eq!(exp_f32(f32::NEG_INFINITY).to_bits(), 0);
+        assert_eq!(exp_f32(0.0), 1.0);
+        assert_eq!(exp_f32(-0.0), 1.0);
+        let up = |x: f32| f32::from_bits(x.to_bits() + 1);
+        // Above ln f32::MAX: +inf; at the last finite input: finite,
+        // with no 2^128 scale factor built along the way.
+        assert!(EXP_HI < 88.722_84 && f64::from(EXP_HI).exp() < f64::from(f32::MAX));
+        assert_eq!(exp_f32(up(EXP_HI)), f32::INFINITY);
+        let top = exp_f32(EXP_HI);
+        assert!(top.is_finite() && top > 3.4e38, "{top:e}");
+        // Below ln f32::MIN_POSITIVE: exactly 0; at the threshold a
+        // normal float.
+        assert!(f64::from(EXP_LO).exp() >= f64::from(f32::MIN_POSITIVE));
+        let below = -f32::from_bits((-EXP_LO).to_bits() + 1);
+        assert_eq!(exp_f32(below).to_bits(), 0);
+        assert!(exp_f32(EXP_LO).is_normal());
+    }
+
+    /// Distance in ulps between two finite f32 of one sign.
+    fn ulps(a: f32, b: f32) -> u32 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    #[test]
+    fn exp_within_two_ulp_on_a_dense_grid() {
+        // 2^20 evenly spaced inputs across the whole normal range.
+        let steps = 1 << 20;
+        for i in 0..=steps {
+            let x = EXP_LO + (EXP_HI - EXP_LO) * (i as f32 / steps as f32);
+            let (got, want) = (exp_f32(x), x.exp());
+            if want.is_normal() {
+                assert!(ulps(got, want) <= 2, "exp({x:e}) = {got:e}, libm {want:e}");
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn exp_within_two_ulp_of_libm(x in EXP_LO..=EXP_HI) {
+            let (got, want) = (exp_f32(x), x.exp());
+            if want.is_normal() {
+                prop_assert!(ulps(got, want) <= 2, "exp({:e}) = {:e}, libm {:e}", x, got, want);
+            }
+        }
+
         #[test]
         fn silu_bounded_below(x in -50.0f32..50.0) {
             let y = silu(x);

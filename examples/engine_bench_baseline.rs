@@ -37,18 +37,35 @@ fn trial_config() -> TrialConfig {
     TrialConfig::new(trials, 1, 0x5EED)
 }
 
-/// One prefill measurement through both paths:
-/// `(gemv_tokens_per_s, gemm_tokens_per_s)`.
-fn prefill_pair_once(model: &TransformerModel, vocab: usize, tokens: usize) -> (f64, f64) {
+/// One prefill measurement through both paths, the GEMM first when
+/// `gemm_first` (trials alternate, so neither path always runs on the
+/// colder caches): `(gemv_tokens_per_s, gemm_tokens_per_s)`.
+fn prefill_pair_once(
+    model: &TransformerModel,
+    vocab: usize,
+    tokens: usize,
+    gemm_first: bool,
+) -> (f64, f64) {
     let prompt: Vec<usize> = (0..tokens).map(|i| (i * 7 + 3) % vocab).collect();
-    let gemm_s = time_seconds(|| {
-        let mut cache = model.new_cache();
-        std::hint::black_box(model.prefill(&prompt, &mut cache));
-    });
-    let gemv_s = time_seconds(|| {
-        let mut cache = model.new_cache();
-        std::hint::black_box(model.prefill_unbatched(&prompt, &mut cache));
-    });
+    let gemm = || {
+        time_seconds(|| {
+            let mut cache = model.new_cache();
+            std::hint::black_box(model.prefill(&prompt, &mut cache));
+        })
+    };
+    let gemv = || {
+        time_seconds(|| {
+            let mut cache = model.new_cache();
+            std::hint::black_box(model.prefill_unbatched(&prompt, &mut cache));
+        })
+    };
+    let (gemm_s, gemv_s) = if gemm_first {
+        let m = gemm();
+        (m, gemv())
+    } else {
+        let v = gemv();
+        (gemm(), v)
+    };
     (tokens as f64 / gemv_s, tokens as f64 / gemm_s)
 }
 
@@ -63,8 +80,8 @@ fn prefill_point(
 ) -> Value {
     let mut gemv = Vec::new();
     let mut gemm = Vec::new();
-    let set = llmib_bench::harness::run_trials(tc, |_seed| {
-        let (v, m) = prefill_pair_once(model, vocab, tokens);
+    let set = llmib_bench::harness::run_trials(tc, |seed| {
+        let (v, m) = prefill_pair_once(model, vocab, tokens, seed.is_multiple_of(2));
         gemv.push(v);
         gemm.push(m);
         m / v
@@ -156,34 +173,43 @@ fn main() {
 
     // --- Batched decode aggregate throughput at batch 1/4/16 ---
     // A larger model makes the per-step weight pass the dominant cost,
-    // which is what batching amortizes.
+    // which is what batching amortizes. Each trial times all three batch
+    // sizes back to back, starting from a different one each trial, so a
+    // noisy stretch of the host slows a whole trial rather than one
+    // batch size's block of trials.
     let new_tokens = 16usize;
-    let mut per_batch: Vec<(usize, Vec<f64>)> = Vec::new();
-    for batch in [1usize, 4, 16] {
-        let mut tps = Vec::new();
-        llmib_bench::harness::run_trials(&tc, |_seed| {
-            let s = time_seconds(|| {
-                let mut session = BatchSession::new(&bmodel128);
-                for i in 0..batch {
-                    let p = [1 + i % 7, 2 + i % 5, 3];
-                    session
-                        .admit(i as u64, &p, new_tokens, Sampler::Greedy)
-                        .expect("admit");
-                }
-                std::hint::black_box(session.run_to_completion());
-            });
-            let v = (batch * new_tokens) as f64 / s;
-            tps.push(v);
-            v
+    let batches = [1usize, 4, 16];
+    let run_batch = |batch: usize| {
+        let s = time_seconds(|| {
+            let mut session = BatchSession::new(&bmodel128);
+            for i in 0..batch {
+                let p = [1 + i % 7, 2 + i % 5, 3];
+                session
+                    .admit(i as u64, &p, new_tokens, Sampler::Greedy)
+                    .expect("admit");
+            }
+            std::hint::black_box(session.run_to_completion());
         });
-        per_batch.push((batch, tps.split_off(tps.len() - tc.trials)));
-    }
+        (batch * new_tokens) as f64 / s
+    };
+    let mut tps: Vec<Vec<f64>> = vec![Vec::new(); batches.len()];
     // Paired per-trial scaling ratio: batch-16 aggregate over batch-1.
-    let scaling: Vec<f64> = per_batch[2]
-        .1
+    let scaling = llmib_bench::harness::run_trials(&tc, |seed| {
+        let mut trial = [0.0f64; 3];
+        for k in 0..batches.len() {
+            let b = (k + seed as usize) % batches.len();
+            trial[b] = run_batch(batches[b]);
+        }
+        for (v, t) in tps.iter_mut().zip(trial) {
+            v.push(t);
+        }
+        trial[2] / trial[0]
+    });
+    // The workload also ran during warmup; keep only measured trials.
+    let per_batch: Vec<(usize, Vec<f64>)> = batches
         .iter()
-        .zip(&per_batch[0].1)
-        .map(|(b16, b1)| b16 / b1)
+        .zip(tps)
+        .map(|(&b, mut v)| (b, v.split_off(v.len() - tc.trials)))
         .collect();
 
     // --- Merge our sections into BENCH_engine.json, preserving the
@@ -247,7 +273,7 @@ fn main() {
     batched_section.set("points", Value::Array(points));
     batched_section.set_metric(
         "batch16_vs_batch1_scaling",
-        &Metric::higher("ratio", ci(&scaling)).gated(),
+        &Metric::higher("ratio", scaling.ci95()).gated(),
     );
     doc.merge_section(batched_section);
 

@@ -267,6 +267,57 @@ fn bench_flash(tc: &TrialConfig, heads: usize, d: usize, n: usize) -> (Measured,
 /// question after a 1024-token cached document).
 const LAYER_CONTEXT: usize = 1024;
 const LAYER_ROWS: usize = 64;
+/// Decode rows timed per trial of `attention_decode_c1024`.
+const DECODE_ROWS: usize = 200;
+
+/// The repository benchmark's model (GQA, 4 query heads of width 16
+/// over 1 KV head) with room for `max_seq` positions.
+fn layer_config(max_seq: usize) -> EngineConfig {
+    EngineConfig {
+        max_seq,
+        ..EngineConfig::scaled_from(ModelId::Llama3_8b, 64, 7)
+    }
+}
+
+/// One decode row of the benchmark model's attention layer over
+/// `LAYER_CONTEXT` cached positions ([`Attention::forward`]: the four
+/// projections plus the attention core over `LAYER_CONTEXT + 1`
+/// positions), `DECODE_ROWS` rows per trial, the cache truncated back
+/// after each. Its shape is `KernelShape::flash_attention` of those
+/// rows, so the roofline prediction sits beside the measurement.
+fn bench_attention_decode(tc: &TrialConfig) -> Measured {
+    let cfg = layer_config(LAYER_CONTEXT + 1);
+    let attn = Attention::new(&cfg, 7, QuantMode::F32);
+    let mut cache = KvCache::new(1, cfg.kv_dim(), cfg.max_seq);
+    attn.prefill(
+        &Matrix::random(LAYER_CONTEXT, cfg.hidden, 41, 0.5),
+        0,
+        &mut cache,
+    );
+    let x = Matrix::random(1, cfg.hidden, 43, 0.5);
+    let row =
+        KernelShape::flash_attention(cfg.heads, cfg.kv_heads, cfg.head_dim(), LAYER_CONTEXT + 1);
+    Measured {
+        name: "attention_decode_c1024",
+        shape: KernelShape {
+            flops: DECODE_ROWS as f64 * row.flops,
+            bytes: DECODE_ROWS as f64 * row.bytes,
+        },
+        set: time_trials(tc, || {
+            for _ in 0..DECODE_ROWS {
+                black_box(attn.forward(black_box(x.row(0)), LAYER_CONTEXT, 0, &mut cache));
+                cache.truncate(LAYER_CONTEXT);
+            }
+        }),
+    }
+}
+
+/// Nanoseconds per (query, key) pair of `attention_decode_c1024`.
+fn ns_per_pair(m: &Measured) -> ConfidenceInterval {
+    let pairs = (DECODE_ROWS * layer_config(1).heads * (LAYER_CONTEXT + 1)) as f64;
+    let ns: Vec<f64> = m.set.values().iter().map(|s| s / pairs * 1e9).collect();
+    ConfidenceInterval::from_samples95(&ns)
+}
 
 /// One attention layer of the benchmark model (GQA, 4 query heads of
 /// width 16 over 1 KV head): a `LAYER_ROWS`-row [`Attention::prefill`],
@@ -276,10 +327,7 @@ const LAYER_ROWS: usize = 64;
 /// on clones of one `LAYER_CONTEXT`-position cache; returns the per-trial
 /// rowwise-over-prefill ratios.
 fn bench_prefill_attention(tc: &TrialConfig) -> TrialSet {
-    let cfg = EngineConfig {
-        max_seq: LAYER_CONTEXT + LAYER_ROWS,
-        ..EngineConfig::scaled_from(ModelId::Llama3_8b, 64, 7)
-    };
+    let cfg = layer_config(LAYER_CONTEXT + LAYER_ROWS);
     let attn = Attention::new(&cfg, 7, QuantMode::F32);
     let mut cached = KvCache::new(1, cfg.kv_dim(), cfg.max_seq);
     attn.prefill(
@@ -320,6 +368,9 @@ fn main() {
     let (flash, flash_ratios) = bench_flash(&tc, 8, 64, 1024);
     let flash_speedup = flash_ratios.ci95();
     measured.push(flash);
+    let decode = bench_attention_decode(&tc);
+    let decode_ns = ns_per_pair(&decode);
+    measured.push(decode);
     let prefill_attention = bench_prefill_attention(&tc).ci95();
 
     // --- Roofline validation (the CI smoke assertion) ---
@@ -402,7 +453,8 @@ fn main() {
             &format!(
                 "w {N}x{N} (f32 / int8-block / int4-block, group 32), batch {BATCH}; \
                  flash 8 heads x 64 over 1024 kv; attention layer {LAYER_ROWS} rows \
-                 after {LAYER_CONTEXT} cached (GQA 4x16 over 1 kv head)"
+                 after {LAYER_CONTEXT} cached and {DECODE_ROWS} decode rows over \
+                 {LAYER_CONTEXT} cached (GQA 4x16 over 1 kv head)"
             ),
         )
         .with_trials(&tc, &measured[0].set)
@@ -422,6 +474,10 @@ fn main() {
             "prefill_attention_vs_rowwise_c1024",
             &Metric::higher("ratio", prefill_attention),
         )
+        .metric(
+            "attention_decode_c1024_ns_per_pair",
+            &Metric::lower("ns", decode_ns),
+        )
         .field(
             "speedup_baseline",
             Value::Str("gemv_loop_reference_f32 (paired per trial)".into()),
@@ -438,6 +494,11 @@ fn main() {
         "attention prefill ({LAYER_ROWS} rows) vs rowwise forward at {LAYER_CONTEXT} cached: \
          {:.2}x [{:.2}, {:.2}]",
         prefill_attention.point, prefill_attention.lo, prefill_attention.hi
+    );
+    println!(
+        "attention decode row over {LAYER_CONTEXT} cached: {:.2} ns per (query, key) pair \
+         [{:.2}, {:.2}]",
+        decode_ns.point, decode_ns.lo, decode_ns.hi
     );
     if let Value::Object(fields) = &speedups {
         for (k, v) in fields {

@@ -10,9 +10,10 @@
 
 use llmib_engine::{
     generate, generate_speculative, BatchSession, EngineConfig, GenerateOptions, KvCache,
-    QuantMode, Sampler, TransformerModel,
+    PrefixConfig, QuantMode, Sampler, TransformerModel,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Every architecture variant the engine models: MHA, grouped-query
 /// attention, mixture-of-experts routing, sliding-window attention.
@@ -254,6 +255,83 @@ fn tiled_attention_branches_are_bitwise_identical() {
                     let tail = greedy_tail(&model, &mut cache, last, end, 6);
                     assert_eq!(tail, ref_tail, "{at}: budget {budget} decode");
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn attention_spans_fold_identically_for_any_block_size() {
+    // The attention core folds 64-position spans and walks each span's
+    // KV-block pieces in position order. Blocks of 24 and 100 positions
+    // straddle span boundaries and 128-position blocks hold two spans;
+    // contexts of 63, 64, 65, 130 and 300 positions end before, on and
+    // after span boundaries; a 70-position window starts mid-span.
+    // Token-at-a-time decode on default 16-position blocks is the
+    // reference for prefill, chunked prefill, decode, batched decode and
+    // prefix-cache hits at every block size.
+    let mut variants = all_variants();
+    variants.push(("tiny_swa_70", EngineConfig::tiny_swa(70)));
+    let base_len = 300;
+    for (name, cfg) in variants {
+        let cfg = EngineConfig {
+            max_seq: 400,
+            ..cfg
+        };
+        let model = TransformerModel::new(cfg.clone(), false).unwrap();
+        let base: Vec<usize> = (0..base_len).map(|i| (i * 13 + 1) % cfg.vocab).collect();
+        let mut prompts = vec![base.clone()];
+        for len in [63usize, 64, 65, 130, base_len] {
+            let prompt = &base[..len];
+            let at = format!("{name} len {len}");
+            let mut ref_cache = model.new_cache();
+            let ref_logits = model.prefill_unbatched(prompt, &mut ref_cache);
+            let ref_tail = greedy_tail(&model, &mut ref_cache, ref_logits.clone(), len, 4);
+            for bt in [24usize, 100, 128] {
+                let pool = Arc::new(model.new_block_pool(bt));
+                let mut cache = KvCache::in_pool(pool.clone(), cfg.max_seq);
+                let logits = model.prefill(prompt, &mut cache);
+                assert_eq!(logits, ref_logits, "{at}, {bt}-position blocks: prefill");
+                let tail = greedy_tail(&model, &mut cache, logits, len, 4);
+                assert_eq!(tail, ref_tail, "{at}, {bt}-position blocks: decode");
+                let mut cache = KvCache::in_pool(pool, cfg.max_seq);
+                let mut last = Vec::new();
+                for chunk in prompt.chunks(37) {
+                    last = model.prefill(chunk, &mut cache);
+                }
+                assert_eq!(last, ref_logits, "{at}, {bt}-position blocks: chunked");
+            }
+            // A prompt sharing the first `len` tokens with `base`.
+            let mut shared = prompt.to_vec();
+            shared.extend((0..9).map(|i| (i * 5 + len) % cfg.vocab));
+            prompts.push(shared);
+        }
+        let solo: Vec<Vec<usize>> = prompts
+            .iter()
+            .map(|p| {
+                let opts = GenerateOptions {
+                    max_new_tokens: 5,
+                    use_kv_cache: true,
+                    sampler: Sampler::Greedy,
+                };
+                generate(&model, p, opts).tokens
+            })
+            .collect();
+        for bt in [24usize, 100, 128] {
+            let mut session = BatchSession::with_prefix_cache(
+                &model,
+                PrefixConfig {
+                    block_tokens: bt,
+                    max_cached_blocks: 64,
+                },
+            );
+            for (i, p) in prompts.iter().enumerate() {
+                session.admit(i as u64, p, 5, Sampler::Greedy).unwrap();
+            }
+            let streams = session.run_to_completion();
+            assert!(session.prefix_stats().unwrap().hits > 0, "{name}: {bt}");
+            for (i, (_, tokens)) in streams.iter().enumerate() {
+                assert_eq!(tokens, &solo[i], "{name}, {bt}-position blocks: seq {i}");
             }
         }
     }
