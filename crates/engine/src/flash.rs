@@ -19,8 +19,8 @@
 //! (lane = query) with exactly the per-row operations, and
 //! [`weighted_sum_lanes`] adds two queries' weighted sums per pass over
 //! the shared value rows. Every exponential is the engine's own
-//! [`crate::tensor::exp_f32`] (or its SSE2 form, bitwise the same), so
-//! no result depends on the platform's libm.
+//! [`crate::tensor::exp_f32`] (or its SSE2 or AVX2 form, bitwise the
+//! same), so no result depends on the platform's libm.
 //!
 //! **Determinism.** For a fixed chunking the result is a pure function
 //! of the inputs, and the engine chunks on 64-position spans, whose
@@ -146,7 +146,8 @@ impl OnlineSoftmax {
 }
 
 /// Queries per lane group of the attention core's score, weigh and
-/// weighted-sum kernels (one SSE2 register of f32 lanes).
+/// weighted-sum kernels (one SSE2 register of f32 lanes; AVX2 holds two
+/// keys' lanes per register).
 pub(crate) const LANES: usize = 4;
 
 /// [`OnlineSoftmax::weigh`] for up to [`LANES`] rows at once, lane `i`
@@ -236,7 +237,7 @@ pub(crate) fn weighted_sum_lanes(
 }
 
 /// `Q` weighted sums over shared value rows, query `q`'s weight of row
-/// `j` at `weights[q][j * wstride]`: the SSE2 kernel on x86_64,
+/// `j` at `weights[q][j * wstride]`: the SIMD kernel on x86_64,
 /// per-query scalar loops elsewhere.
 fn multi_weighted_sum<const Q: usize>(
     accs: [&mut [f32]; Q],

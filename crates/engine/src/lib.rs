@@ -22,11 +22,12 @@
 //! GEMMs ([`matmul_mat`]) and batched decode stacks concurrent sequences
 //! so weights stream once per step; a reusable [`Workspace`] makes the
 //! steady-state decode loop allocation free. Every f32 path funnels
-//! through one dot-product kernel ([`dot_kernel`]) — on x86_64 that
-//! kernel is an explicit SSE2 implementation constructed to be *bitwise
+//! through one dot-product order ([`dot_unrolled`]) — on x86_64 the
+//! kernels are explicit SSE2 implementations, and AVX2 ones chosen by
+//! CPUID at run time ([`kernel_backend`]), constructed to be *bitwise
 //! identical* to the scalar reference (same accumulator striping, no
 //! FMA), so batched, token-at-a-time, SIMD, and scalar execution all
-//! produce bitwise-identical logits. Weights are
+//! produce bitwise-identical logits on every CPU. Weights are
 //! seeded-random (we reproduce systems behavior, not trained quality);
 //! everything is deterministic given a seed, which the correctness tests
 //! rely on (e.g. cached and uncached decoding must emit identical
@@ -44,10 +45,10 @@
 //! assert_eq!(result.tokens.len(), 8);
 //! ```
 
-// The crate is `unsafe`-free except for the SSE2 intrinsics module,
-// which is compiled only on x86_64 (SSE2 is part of its baseline) and
-// keeps its `unsafe` behind a module-local allow with per-call safety
-// proofs.
+// The crate is `unsafe`-free except for the SIMD intrinsics module,
+// which is compiled only on x86_64 (SSE2 is part of its baseline; AVX2
+// is called only after CPUID reports it) and keeps its `unsafe` behind
+// a module-local allow with per-call safety proofs.
 #![cfg_attr(not(target_arch = "x86_64"), forbid(unsafe_code))]
 #![cfg_attr(target_arch = "x86_64", deny(unsafe_code))]
 #![warn(missing_docs)]

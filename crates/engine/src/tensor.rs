@@ -1,16 +1,19 @@
 //! Minimal dense linear algebra: row-major matrices and the handful of
 //! kernels a decoder-only transformer needs.
 //!
-//! **Kernel dispatch.** Each hot kernel here is one function chosen by
-//! target, with no build option or runtime switch: on x86_64 (SSE2 is
-//! baseline) it calls the SSE2 form in `simd`, elsewhere the portable
-//! scalar loop. The dot products (`dot_kernel`, the GEMM tiles
-//! `dot4x2`/`dot2x2`, the attention scores `score4`/`score1`), the
-//! exponential (`exp_in_place` over [`exp_f32`]) and the SwiGLU
-//! activation (`silu_mul_in_place`) all perform the same IEEE
-//! operations in the same order on both forms — no FMA, no libm — so
-//! every target produces bitwise-identical model output, and `simd`'s
-//! tests assert it against the scalar references.
+//! **Kernel dispatch.** Each hot kernel here is one function with no
+//! build option, environment variable or configuration field: on
+//! x86_64 it calls the safe entry point in `simd`, which runs the AVX2
+//! form when CPUID reports AVX2 and the SSE2 form (SSE2 is baseline)
+//! otherwise; on other targets it runs the portable scalar loop. The
+//! dot products (`dot_kernel`, the GEMM tiles `dot4x4`/`dot4x2`/`dot2x2`,
+//! the attention scores `score4`/`score1`), the exponential
+//! (`exp_in_place` over [`exp_f32`]) and the SwiGLU activation
+//! (`silu_mul_in_place`) all perform the same IEEE operations in the
+//! same order on every form — no FMA, no libm — so every target and
+//! every CPU produces bitwise-identical model output, and `simd`'s tests
+//! assert it against the scalar references for each backend the host
+//! runs. [`kernel_backend`] names the backend in use.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -126,13 +129,13 @@ pub fn dot_unrolled(row: &[f32], x: &[f32]) -> f32 {
     acc0 + acc1 + acc2 + acc3
 }
 
-/// The engine's innermost f32 dot product: dispatches to the explicit
-/// SSE2 backend on x86_64, where SSE2 is part of the baseline ABI, and
-/// to [`dot_unrolled`] on every other target. The two are bitwise
-/// identical — the SIMD kernel keeps the same four accumulator lanes,
-/// tail handling, and final reduction order, and uses no FMA — which
-/// `simd::tests` asserts directly, so every target produces identical
-/// model output.
+/// The engine's innermost f32 dot product (the GEMV row): dispatches to
+/// the explicit SSE2 kernel on x86_64, where SSE2 is part of the
+/// baseline ABI, and to [`dot_unrolled`] on every other target. The two
+/// are bitwise identical — the SIMD kernel keeps the same four
+/// accumulator lanes, tail handling, and final reduction order, and
+/// uses no FMA — which `simd::tests` asserts directly, so every target
+/// produces identical model output.
 #[inline]
 pub fn dot_kernel(row: &[f32], x: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
@@ -145,12 +148,18 @@ pub fn dot_kernel(row: &[f32], x: &[f32]) -> f32 {
     }
 }
 
-/// Name of the active innermost-kernel backend, for benchmark reports:
-/// `"x86_64-sse2"` on x86_64, `"scalar"` elsewhere.
+/// Name of the kernel backend this process runs, for benchmark reports:
+/// `"x86_64-avx2"` on an x86_64 CPU whose CPUID reports AVX2,
+/// `"x86_64-sse2"` on any other x86_64 CPU, `"scalar"` on other
+/// targets. The choice is made by CPUID alone; every backend gives the
+/// same bits.
 pub fn kernel_backend() -> &'static str {
-    if cfg!(target_arch = "x86_64") {
-        "x86_64-sse2"
-    } else {
+    #[cfg(target_arch = "x86_64")]
+    {
+        crate::simd::backend()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
         "scalar"
     }
 }
@@ -224,18 +233,36 @@ pub fn matmul_mat(w: &Matrix, xs: &Matrix) -> Matrix {
 
 /// One `GEMM_MB × N` block of the output: tiles over weight rows so each
 /// weight tile is reused across the whole input block while hot. Within a
-/// tile, outputs are computed 4×2 at a time by [`dot4x2`] — the register
-/// tiling that makes the GEMM path faster than a GEMV loop on one core.
+/// tile, outputs are computed 4×4 at a time by [`dot4x4`], then 4×2 by
+/// [`dot4x2`] for a pair of input rows left over — the register tiling
+/// that makes the GEMM path faster than a GEMV loop on one core.
 fn gemm_block(w: &Matrix, xs: &Matrix, m0: usize, out_rows: &mut [f32], n: usize) {
     let block_rows = out_rows.len() / n;
     let mut n0 = 0;
     while n0 < n {
         let n1 = (n0 + GEMM_NB).min(n);
         let mut mi = 0;
-        // Register-tiled interior: two input rows against four weight
-        // rows per micro-kernel call, then a 2×2 call and a single dot
-        // for the weight rows left over.
-        while mi + 2 <= block_rows {
+        // Register-tiled interior: four input rows against four weight
+        // rows per micro-kernel call, then 2×2 calls and single dots for
+        // the weight rows left over.
+        while mi + 4 <= block_rows {
+            let x: [&[f32]; 4] = std::array::from_fn(|i| xs.row(m0 + mi + i));
+            let mut ni = n0;
+            while ni + 4 <= n1 {
+                let w4 = [w.row(ni), w.row(ni + 1), w.row(ni + 2), w.row(ni + 3)];
+                let t = dot4x4(w4, x);
+                for (i, ti) in t.chunks_exact(4).enumerate() {
+                    out_rows[(mi + i) * n + ni..][..4].copy_from_slice(ti);
+                }
+                ni += 4;
+            }
+            for i in [0, 2] {
+                gemm_edge(w, x[i], x[i + 1], ni, n1, &mut out_rows[(mi + i) * n..], n);
+            }
+            mi += 4;
+        }
+        // Two input rows: four weight rows per micro-kernel call.
+        if mi + 2 <= block_rows {
             let x0 = xs.row(m0 + mi);
             let x1 = xs.row(m0 + mi + 1);
             let mut ni = n0;
@@ -246,18 +273,7 @@ fn gemm_block(w: &Matrix, xs: &Matrix, m0: usize, out_rows: &mut [f32], n: usize
                 out_rows[(mi + 1) * n + ni..(mi + 1) * n + ni + 4].copy_from_slice(&t[4..]);
                 ni += 4;
             }
-            if ni + 2 <= n1 {
-                let t = dot2x2(w.row(ni), w.row(ni + 1), x0, x1);
-                out_rows[mi * n + ni] = t[0];
-                out_rows[mi * n + ni + 1] = t[1];
-                out_rows[(mi + 1) * n + ni] = t[2];
-                out_rows[(mi + 1) * n + ni + 1] = t[3];
-                ni += 2;
-            }
-            if ni < n1 {
-                out_rows[mi * n + ni] = dot_kernel(w.row(ni), x0);
-                out_rows[(mi + 1) * n + ni] = dot_kernel(w.row(ni), x1);
-            }
+            gemm_edge(w, x0, x1, ni, n1, &mut out_rows[mi * n..], n);
             mi += 2;
         }
         // Odd trailing input row.
@@ -271,8 +287,51 @@ fn gemm_block(w: &Matrix, xs: &Matrix, m0: usize, out_rows: &mut [f32], n: usize
     }
 }
 
+/// The fewer than four weight rows `ni..n1` of a tile against input rows
+/// `x0`, `x1`: a 2×2 call, then single dots. `rows` starts at `x0`'s
+/// output row; `x1`'s is `n` further.
+fn gemm_edge(
+    w: &Matrix,
+    x0: &[f32],
+    x1: &[f32],
+    mut ni: usize,
+    n1: usize,
+    rows: &mut [f32],
+    n: usize,
+) {
+    if ni + 2 <= n1 {
+        let t = dot2x2(w.row(ni), w.row(ni + 1), x0, x1);
+        rows[ni] = t[0];
+        rows[ni + 1] = t[1];
+        rows[n + ni] = t[2];
+        rows[n + ni + 1] = t[3];
+        ni += 2;
+    }
+    if ni < n1 {
+        rows[ni] = dot_kernel(w.row(ni), x0);
+        rows[n + ni] = dot_kernel(w.row(ni), x1);
+    }
+}
+
+/// 4×4 GEMM micro-kernel dispatch: `out[4 * i + r] = w[r] · x[i]`, each
+/// output bitwise equal to one [`dot_kernel`]. On x86_64 `simd` picks
+/// the AVX2 register tile or two SSE2 4×2 tiles by CPUID; elsewhere it
+/// is two [`dot4x2`] calls. [`gemm_block`] never learns which runs.
+#[inline]
+fn dot4x4(w: [&[f32]; 4], x: [&[f32]; 4]) -> [f32; 16] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        crate::simd::dot4x4_f32(w, x)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let (a, b) = (dot4x2(w, x[0], x[1]), dot4x2(w, x[2], x[3]));
+        std::array::from_fn(|t| if t < 8 { a[t] } else { b[t - 8] })
+    }
+}
+
 /// 4×2 GEMM micro-kernel dispatch: `[w[0..4]·x0, w[0..4]·x1]`, each
-/// output bitwise equal to one [`dot_kernel`]. The SSE2 variant on
+/// output bitwise equal to one [`dot_kernel`]. The SSE2 kernel on
 /// x86_64 keeps all eight accumulators in registers; elsewhere it is
 /// two [`dot2x2_scalar`] calls.
 #[inline]
@@ -291,9 +350,10 @@ fn dot4x2(w: [&[f32]; 4], x0: &[f32], x1: &[f32]) -> [f32; 8] {
 
 /// Attention scores of four queries against `n = out.len() / 4` keys,
 /// query-interleaved: `out[4 * j + i] = dot_kernel(q[i], key_j) * scale`
-/// with key `j` at `keys[j * stride..][..d]`. The SSE2 variant on
-/// x86_64 runs the 4×2 tile over key pairs and reduces in registers;
-/// elsewhere one [`dot_unrolled`] per score. Bitwise identical.
+/// with key `j` at `keys[j * stride..][..d]`. On x86_64 the SSE2 kernel
+/// runs the 4×2 tile over key pairs, the AVX2 kernel the 4×4 tile over
+/// key quads, both reducing in registers; elsewhere one [`dot_unrolled`]
+/// per score. Bitwise identical.
 #[inline]
 pub(crate) fn score4(q: [&[f32]; 4], keys: &[f32], stride: usize, scale: f32, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
@@ -315,8 +375,8 @@ pub(crate) fn score4(q: [&[f32]; 4], keys: &[f32], stride: usize, scale: f32, ou
 /// Attention scores of one query against `n = out.len()` keys:
 /// `out[j] = dot_kernel(q, key_j) * scale` with key `j` at
 /// `keys[j * stride..][..d]` — the SSE2 tile over four keys at a time
-/// on x86_64, one [`dot_unrolled`] per score elsewhere. Bitwise
-/// identical.
+/// on x86_64 (with or without AVX2), one [`dot_unrolled`] per score
+/// elsewhere. Bitwise identical.
 #[inline]
 pub(crate) fn score1(q: &[f32], keys: &[f32], stride: usize, scale: f32, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
@@ -445,9 +505,9 @@ pub(crate) const EXP_POLY: [f32; 6] = [
 
 /// The engine's exponential, within 2 ulp of `f32::exp` wherever the
 /// result is a normal float, and bitwise reproducible on every target:
-/// it calls no libm, uses no FMA, and the SSE2 form (`simd::exp_in_place`)
-/// performs the same IEEE operations per lane, so scalar and vector
-/// softmaxes agree bit for bit.
+/// it calls no libm, uses no FMA, and the SSE2 and AVX2 forms
+/// (`simd::exp_in_place`) perform the same IEEE operations per lane, so
+/// scalar and vector softmaxes agree bit for bit.
 ///
 /// Cody–Waite range reduction: `n = round(x · log2 e)` by magic-number
 /// rounding, `r = (x − n · ln2_hi) − n · ln2_lo`, then
@@ -482,8 +542,8 @@ pub(crate) fn exp_f32(x: f32) -> f32 {
     f32::from_bits((p.to_bits() as i32).wrapping_add(k << 23) as u32)
 }
 
-/// `x[i] = exp_f32(x[i])`: the SSE2 form on x86_64, bitwise identical
-/// to the scalar loop it replaces elsewhere.
+/// `x[i] = exp_f32(x[i])`: the vector form on x86_64 (AVX2 or SSE2 by
+/// CPUID), bitwise identical to the scalar loop it replaces elsewhere.
 #[inline]
 pub(crate) fn exp_in_place(x: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
@@ -503,9 +563,10 @@ pub fn silu(x: f32) -> f32 {
     x / (1.0 + exp_f32(-x))
 }
 
-/// The SwiGLU activation `gate[i] = silu(gate[i]) * up[i]`: the SSE2
-/// form on x86_64 (same IEEE operations per element as [`silu`], so
-/// bitwise identical), the scalar loop elsewhere.
+/// The SwiGLU activation `gate[i] = silu(gate[i]) * up[i]`: the vector
+/// form on x86_64 (AVX2 or SSE2 by CPUID; same IEEE operations per
+/// element as [`silu`], so bitwise identical), the scalar loop
+/// elsewhere.
 pub(crate) fn silu_mul_in_place(gate: &mut [f32], up: &[f32]) {
     assert_eq!(gate.len(), up.len(), "gate/up width mismatch");
     #[cfg(target_arch = "x86_64")]

@@ -2,8 +2,9 @@
 //!
 //! Measures the dense f32, block-INT8, and block-INT4 GEMV/GEMM kernels
 //! and the fused flash-style attention core under the backend this
-//! target runs (`kernel_backend()`: "x86_64-sse2" on x86_64, "scalar"
-//! elsewhere), then validates every number against a host roofline
+//! process runs (`kernel_backend()`: "x86_64-avx2" on an x86_64 CPU
+//! whose CPUID reports AVX2, "x86_64-sse2" on any other x86_64 CPU,
+//! "scalar" elsewhere), then validates every number against a host roofline
 //! whose peaks are *calibrated on the spot* — a register-resident FLOP
 //! microloop and a streaming-read microloop — rather than assumed.
 //! Timings run through the harness trial protocol (`LLMIB_TRIALS`
