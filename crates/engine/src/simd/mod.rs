@@ -559,6 +559,17 @@ mod tests {
     }
 
     #[test]
+    fn backend_names_the_cpuid_choice() {
+        let want = if is_x86_feature_detected!("avx2") {
+            "x86_64-avx2"
+        } else {
+            "x86_64-sse2"
+        };
+        assert_eq!(backend(), want);
+        assert_eq!(crate::tensor::kernel_backend(), want);
+    }
+
+    #[test]
     fn tile4x4_is_bitwise_dot_unrolled_on_every_backend() {
         // Every `len % 4`, from empty rows to several quads.
         for (name, isa) in backends() {

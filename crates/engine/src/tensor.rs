@@ -835,6 +835,26 @@ mod tests {
     }
 
     #[test]
+    fn matmul_mat_matches_matmul_vec_at_every_row_and_column_remainder() {
+        // Every input-row count of a block (the 4-row, 2-row and 1-row
+        // steps), every weight-row remainder of a tile (4×4 calls, the
+        // 2×2 call, single dots) and every `k % 4`.
+        for m in 1..=11 {
+            for n in [1, 2, 3, 4, 5, 6, 7, 66] {
+                for k in [1, 2, 3, 4, 9, 16] {
+                    let w = Matrix::random(n, k, (m * n) as u64, 0.3);
+                    let xs = Matrix::random(m, k, k as u64, 0.7);
+                    let y = matmul_mat(&w, &xs);
+                    for r in 0..m {
+                        let want = matmul_vec(&w, xs.row(r));
+                        assert_eq!(y.row(r), want.as_slice(), "m {m} n {n} k {k} row {r}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn matmul_mat_crosses_block_boundaries() {
         // Shapes straddling the MB/NB tile sizes exercise partial blocks.
         for (m, n, k) in [(1, 1, 5), (8, 64, 16), (9, 65, 16), (17, 130, 7)] {
