@@ -526,6 +526,7 @@ mod tests {
             }
         }
         assert!(session.evict(1));
+        assert!(!session.evict(1), "already evicted");
         assert_eq!(session.live_ids(), vec![0]);
         while !session.is_empty() {
             for ev in session.step() {

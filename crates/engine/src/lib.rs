@@ -63,7 +63,6 @@ mod model;
 mod moe;
 mod quant;
 mod sampler;
-mod step;
 mod tensor;
 mod tokenizer;
 
@@ -80,7 +79,6 @@ pub use model::{DecoderBlock, Linear, TransformerModel, Workspace};
 pub use moe::MoeFfn;
 pub use quant::{QuantMode, QuantScratch, QuantizedLinear, QUANT_GROUP};
 pub use sampler::Sampler;
-pub use step::EngineStep;
 pub use tensor::{
     dot_kernel, dot_unrolled, kernel_backend, matmul_mat, matmul_vec, matmul_vec_into, rmsnorm,
     rmsnorm_into, rope_in_place, silu, softmax_in_place, Matrix, RopeTable,

@@ -44,12 +44,14 @@
 
 mod allocator;
 mod budget;
+mod fault;
 mod overload;
 mod simulator;
 mod sweep;
 
 pub use allocator::{AllocStats, KvAllocator, MonolithicAllocator, PagedAllocator};
 pub use budget::{BudgetError, KvBudget};
+pub use fault::{Attempt, FaultClock};
 pub use llmib_types::{Priority, Request, RequestState};
 pub use overload::{
     insert_by_priority, pick_victim, Admission, AdmitExecutor, BatchingPolicy, BrownoutConfig,

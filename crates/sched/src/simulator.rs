@@ -1,14 +1,15 @@
 //! The discrete-event serving loop.
 
 use crate::budget::KvBudget;
+use crate::fault::{Attempt, FaultClock};
 use crate::overload::{
     insert_by_priority, Admission, AdmitExecutor, BatchingPolicy, ClassCounters, OverloadConfig,
     Refusal, Ticket,
 };
 use llmib_perf::ResolvedScenario;
 use llmib_types::{
-    stats, usable_prefix_blocks, FaultKind, FaultPlan, ItlSummary, LatencySample, Priority,
-    ReplicaFaultPlan, ReplicaId, ReplicaRole, Request, RequestState, RetryPolicy, Seconds,
+    stats, usable_prefix_blocks, FaultPlan, ItlSummary, LatencySample, Priority, ReplicaFaultPlan,
+    ReplicaId, ReplicaRole, Request, RequestState, RetryPolicy, Seconds,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -159,7 +160,7 @@ pub struct ReplicatedReport {
 
 /// One simulated replica: the mirror of one live `llmib-serve`
 /// scheduler thread, with its own clock, KV ledger, admission state,
-/// queues, fault cursor and pressure window.
+/// queues and fault clock.
 struct Rep {
     now: Seconds,
     decode_steps: u64,
@@ -176,12 +177,8 @@ struct Rep {
     /// pending reservation).
     prefilling: VecDeque<(usize, u32)>,
     running: Vec<usize>,
-    plan: FaultPlan,
-    /// Index of the next not-yet-activated event of `plan`.
-    next_event: usize,
-    poisoned: Vec<u64>,
-    /// Decode steps left in the ledger's memory-pressure window.
-    pressure_steps: u64,
+    /// This replica's slice of the fault plan.
+    faults: FaultClock,
     dead: bool,
     completed: u32,
 }
@@ -228,7 +225,6 @@ struct Tally {
     failed: u32,
     preemptions: u32,
     retries: u32,
-    faults_injected: u32,
     occupancy_acc: f64,
     peak_util: f64,
     prefill_chunks: u64,
@@ -256,8 +252,8 @@ fn fold_into_prompt(req: &mut Request) -> u32 {
 /// move from a replica's ready queue into `admitted`.
 struct SimAdmit<'a> {
     running: &'a mut Vec<usize>,
-    prefilling: usize,
-    poisoned: &'a mut Vec<u64>,
+    prefilling: &'a mut VecDeque<(usize, u32)>,
+    faults: &'a mut FaultClock,
     f: &'a mut Flights,
     admitted: Vec<(usize, u32)>,
 }
@@ -277,13 +273,14 @@ impl AdmitExecutor for SimAdmit<'_> {
     }
 
     fn held(&self) -> usize {
-        self.running.len() + self.prefilling + self.admitted.len()
+        self.running.len() + self.prefilling.len() + self.admitted.len()
     }
 
-    /// Decoding sequences only: unlike the live scheduler, the
-    /// simulator never picks a still-prefilling sequence as a victim.
+    /// Decoding and still-prefilling sequences, like the live
+    /// scheduler's residents.
     fn residents(&self) -> impl Iterator<Item = (u64, Priority, u64)> + '_ {
-        self.running.iter().map(|&idx| {
+        let prefilling = self.prefilling.iter().map(|&(idx, _)| idx);
+        self.running.iter().copied().chain(prefilling).map(|idx| {
             let r = &self.f.requests[idx];
             (r.id, r.priority, self.f.seq_of[idx])
         })
@@ -297,17 +294,22 @@ impl AdmitExecutor for SimAdmit<'_> {
         Ok(())
     }
 
+    /// A still-prefilling victim loses its prefill progress and folds
+    /// zero tokens.
     fn evict(&mut self, id: u64) -> (usize, u32) {
         let requests = &self.f.requests;
-        let pos = self
-            .running
-            .iter()
-            .position(|&idx| requests[idx].id == id)
-            .expect("victim is running");
-        let idx = self.running.swap_remove(pos);
-        // Eviction for any reason cancels a pending poison — the live
-        // injector's `evict` contract.
-        self.poisoned.retain(|&p| p != id);
+        let idx = match self.running.iter().position(|&idx| requests[idx].id == id) {
+            Some(pos) => self.running.swap_remove(pos),
+            None => {
+                let pos = self
+                    .prefilling
+                    .iter()
+                    .position(|&(idx, _)| requests[idx].id == id);
+                let victim = pos.and_then(|pos| self.prefilling.remove(pos));
+                victim.expect("victim is resident").0
+            }
+        };
+        self.faults.evicted(id);
         self.f.replay[idx] = true;
         (idx, fold_into_prompt(&mut self.f.requests[idx]))
     }
@@ -403,20 +405,25 @@ impl ServingSimulator {
 
     /// Run `requests` against `perf` while replaying `plan` on the
     /// simulated clock: a one-replica [`ServingSimulator::run_pool`].
-    /// Faults are anchored to decode-step indices — the same clock the
-    /// live `llmib-serve` runtime counts — so one plan describes one
-    /// chaos scenario in both backends:
+    /// The plan is read by the [`FaultClock`] the live `llmib-serve`
+    /// scheduler also drives, anchored to the decode-step indices both
+    /// runtimes count, so one plan describes one chaos scenario in both
+    /// backends:
     ///
-    /// * [`FaultKind::StepStall`] advances the clock by the extra
-    ///   latency,
-    /// * [`FaultKind::TransientStepError`] advances it by the same
-    ///   capped-backoff schedule the live supervisor sleeps (and fails
-    ///   the whole live batch if the retry budget is exceeded),
-    /// * [`FaultKind::RequestPoison`] evicts the victim once admitted,
-    /// * [`FaultKind::MemoryPressure`] throttles admission while pool
-    ///   utilization exceeds the shrunken capacity factor,
-    /// * [`FaultKind::SchedulerPanic`] kills every outstanding request
-    ///   (the live analog of a contained scheduler death).
+    /// * a [`StepStall`](llmib_types::FaultKind::StepStall) advances
+    ///   the clock by the extra latency,
+    /// * a [`TransientStepError`](llmib_types::FaultKind::TransientStepError)
+    ///   advances it by the capped-backoff schedule the live supervisor
+    ///   sleeps, one backoff per failed attempt of a running batch. The
+    ///   failure after the retry budget fails the whole batch, and the
+    ///   failures left over hit the next batch's attempts,
+    /// * a [`RequestPoison`](llmib_types::FaultKind::RequestPoison)
+    ///   evicts the victim once it decodes,
+    /// * [`MemoryPressure`](llmib_types::FaultKind::MemoryPressure)
+    ///   shrinks the admission budget for its window of decode steps,
+    /// * a [`SchedulerPanic`](llmib_types::FaultKind::SchedulerPanic)
+    ///   kills every outstanding request (the live analog of a
+    ///   contained scheduler death).
     pub fn run_with_faults(
         &self,
         requests: Vec<Request>,
@@ -444,7 +451,8 @@ impl ServingSimulator {
     ///   the live router's cancel-intercept + prefix-replay handoff.
     ///   Handoffs count in [`ReplicatedReport::disagg_handoffs`], never
     ///   in `migrations`.
-    /// * **Failover.** A replica lost to [`FaultKind::SchedulerPanic`]
+    /// * **Failover.** A replica lost to a
+    ///   [`SchedulerPanic`](llmib_types::FaultKind::SchedulerPanic)
     ///   re-deals its outstanding requests to survivors: a streaming
     ///   flight to a decode-capable one, an unstreamed one to a
     ///   prefill-capable one. Requests that had arrived by the death
@@ -490,10 +498,7 @@ impl ServingSimulator {
                 ready: VecDeque::new(),
                 prefilling: VecDeque::new(),
                 running: Vec::new(),
-                plan: plan.plan_for(ReplicaId(r)),
-                next_event: 0,
-                poisoned: Vec::new(),
-                pressure_steps: 0,
+                faults: FaultClock::new(plan.plan_for(ReplicaId(r)), RetryPolicy::default()),
                 dead: false,
                 completed: 0,
             })
@@ -572,83 +577,35 @@ impl ServingSimulator {
         }
     }
 
-    /// One scheduler iteration of one replica, in phase order: fault
-    /// activation → poison eviction → admission (with intake) → at most
-    /// one prefill chunk → idle handling → one decode step →
-    /// completions. Only admission and a failed decode append depend on
-    /// whether overload mode is on. Returns every outstanding request
-    /// if a planned scheduler panic killed the replica.
+    /// One scheduler iteration of one replica, in phase order: the fault
+    /// clock's questions (panic, stall, pressure, then the step attempt
+    /// of a running batch) → admission (with intake) → at most one
+    /// prefill chunk → idle handling → the attempt of a batch formed in
+    /// this step → one decode step → completions. Only admission and a
+    /// failed decode append depend on whether overload mode is on.
+    /// Returns every outstanding request if a planned scheduler panic
+    /// killed the replica.
     fn step(&self, rep: &mut Rep, f: &mut Flights, perf: &ResolvedScenario) -> Option<Vec<usize>> {
-        // --- Fault activation (this replica's plan, its own step clock;
+        // --- Faults due (this replica's plan, its own step clock;
         //     before intake, so a stall's clock advance makes arrivals
         //     visible like the live scheduler's pending stall) ---
-        let retry = RetryPolicy::default();
-        while let Some(&ev) = rep.plan.events().get(rep.next_event) {
-            if ev.at_step > rep.decode_steps {
-                break;
-            }
-            f.tally.faults_injected += 1;
-            rep.next_event += 1;
-            match ev.kind {
-                FaultKind::StepStall { extra } => {
-                    rep.now += Seconds(extra.value().max(0.0));
-                }
-                FaultKind::TransientStepError { failures } => {
-                    if failures > retry.max_retries {
-                        // The live supervisor exhausts its retry budget
-                        // and fails the whole stuck batch.
-                        for idx in std::mem::take(&mut rep.running) {
-                            rep.budget.release(f.requests[idx].id);
-                            f.fail(idx);
-                        }
-                    } else {
-                        for attempt in 1..=failures {
-                            rep.now += retry.backoff(attempt, rep.plan.seed ^ rep.decode_steps);
-                            f.tally.retries += 1;
-                        }
-                    }
-                }
-                FaultKind::RequestPoison { request } => rep.poisoned.push(request),
-                FaultKind::MemoryPressure {
-                    capacity_factor,
-                    steps,
-                } => {
-                    rep.budget
-                        .set_pressure_factor(capacity_factor.clamp(0.01, 1.0));
-                    rep.pressure_steps = steps.max(1);
-                }
-                FaultKind::SchedulerPanic => {
-                    // The ledger and pool die with the scheduler.
-                    rep.dead = true;
-                    let prefilling = rep.prefilling.drain(..).map(|(idx, _)| idx);
-                    return Some(
-                        rep.queue
-                            .drain(..)
-                            .chain(rep.ready.drain(..))
-                            .chain(prefilling)
-                            .chain(rep.running.drain(..))
-                            .collect(),
-                    );
-                }
-            }
+        if rep.faults.panic_due() {
+            // The ledger and pool die with the scheduler.
+            rep.dead = true;
+            let prefilling = rep.prefilling.drain(..).map(|(idx, _)| idx);
+            return Some(
+                rep.queue
+                    .drain(..)
+                    .chain(rep.ready.drain(..))
+                    .chain(prefilling)
+                    .chain(rep.running.drain(..))
+                    .collect(),
+            );
         }
-
-        // --- Poison eviction: victims die once (and only once they are
-        //     decoding — a poisoned pending sequence surfaces after its
-        //     prefill completes, like the live injector) ---
-        if !rep.poisoned.is_empty() {
-            let mut i = 0;
-            while i < rep.running.len() {
-                let idx = rep.running[i];
-                if let Some(pos) = rep.poisoned.iter().position(|&p| p == f.requests[idx].id) {
-                    rep.poisoned.swap_remove(pos);
-                    rep.running.swap_remove(i);
-                    rep.budget.release(f.requests[idx].id);
-                    f.fail(idx);
-                } else {
-                    i += 1;
-                }
-            }
+        rep.now += rep.faults.take_stall();
+        rep.budget.set_pressure_factor(rep.faults.pressure());
+        if !rep.running.is_empty() {
+            Self::supervise(rep, f);
         }
 
         // --- Admission: lazy FIFO, or intake + the shared pass ---
@@ -670,8 +627,8 @@ impl ServingSimulator {
                 }
                 let mut exec = SimAdmit {
                     running: &mut rep.running,
-                    prefilling: rep.prefilling.len(),
-                    poisoned: &mut rep.poisoned,
+                    prefilling: &mut rep.prefilling,
+                    faults: &mut rep.faults,
                     f,
                     admitted: Vec::new(),
                 };
@@ -741,6 +698,13 @@ impl ServingSimulator {
             return None;
         }
 
+        // A batch that formed in this step is judged before its first
+        // decode: an idle replica attempts no step, as live.
+        Self::supervise(rep, f);
+        if rep.running.is_empty() {
+            return None;
+        }
+
         // --- One decode step ---
         let batch = rep.running.len() as u32;
         let ctx_avg = (rep
@@ -751,6 +715,7 @@ impl ServingSimulator {
             / u64::from(batch)) as u32;
         rep.now += perf.decode_step_time(batch, ctx_avg);
         rep.decode_steps += 1;
+        rep.faults.stepped();
         f.tally.occupancy_acc += f64::from(batch);
 
         let mut i = 0;
@@ -793,12 +758,6 @@ impl ServingSimulator {
         }
 
         f.tally.peak_util = f.tally.peak_util.max(rep.budget.utilization());
-        // A pressure window lasts `steps` decode steps, the live
-        // injector's countdown.
-        rep.pressure_steps = rep.pressure_steps.saturating_sub(1);
-        if rep.pressure_steps == 0 {
-            rep.budget.set_pressure_factor(1.0);
-        }
         // One starvation sample per completed decode step — the shared
         // ladder both backends drive identically.
         rep.admission.observe_step();
@@ -816,6 +775,46 @@ impl ServingSimulator {
             rep.completed += 1;
         }
         None
+    }
+
+    /// Ask the fault clock about the next decode step until it may run,
+    /// applying the live supervisor's rules: a poisoned victim dies
+    /// alone, a transient failure costs its backoff, and an exhausted
+    /// retry budget fails the whole batch.
+    fn supervise(rep: &mut Rep, f: &mut Flights) {
+        loop {
+            let running = &rep.running;
+            let requests = &f.requests;
+            match rep
+                .faults
+                .attempt(|id| running.iter().any(|&idx| requests[idx].id == id))
+            {
+                Attempt::Run => return,
+                Attempt::Poisoned(id) => {
+                    let pos = rep.running.iter().position(|&idx| f.requests[idx].id == id);
+                    let idx = rep
+                        .running
+                        .swap_remove(pos.expect("poisoned victim is running"));
+                    rep.budget.release(id);
+                    f.fail(idx);
+                    if rep.running.is_empty() {
+                        return;
+                    }
+                }
+                Attempt::Retry(backoff) => {
+                    rep.now += backoff;
+                    f.tally.retries += 1;
+                }
+                Attempt::Exhausted => {
+                    for idx in std::mem::take(&mut rep.running) {
+                        rep.budget.release(f.requests[idx].id);
+                        rep.faults.evicted(f.requests[idx].id);
+                        f.fail(idx);
+                    }
+                    return;
+                }
+            }
+        }
     }
 
     /// Lazy-append FIFO admission: admit the arrived queue front while
@@ -966,7 +965,7 @@ impl ServingSimulator {
             prefill_chunks: tally.prefill_chunks,
             failed: tally.failed,
             retries: tally.retries,
-            faults_injected: tally.faults_injected,
+            faults_injected: sum(|rep| rep.faults.injected().into()) as u32,
             prefix_hits: tally.prefix_hits,
             saved_prefill_tokens: tally.saved_prefill_tokens,
             replayed_tokens: sum(|rep| rep.admission.counters.replayed_tokens),
@@ -985,7 +984,7 @@ mod tests {
     use llmib_hardware::HardwareId;
     use llmib_models::ModelId;
     use llmib_perf::{PerfModel, Scenario};
-    use llmib_types::TokenShape;
+    use llmib_types::{FaultKind, TokenShape};
 
     fn perf(batch: u32) -> ResolvedScenario {
         let s = Scenario::simple(
@@ -1267,7 +1266,7 @@ mod tests {
         use llmib_types::{FaultEvent, FaultPlan};
         // A one-step window at a 0.1 factor holds the first wave to four
         // admissions; once it expires the next step refills the batch,
-        // like the live injector dropping the window after `steps`
+        // like the live scheduler's window, which expires after `steps`
         // successful decode steps.
         let mut cfg = config(BatchingPolicy::Continuous, 4096, Some(16));
         cfg.max_concurrency = 8;

@@ -12,7 +12,7 @@ use std::time::Duration;
 /// the cross-validation harness runs the same configuration through the
 /// discrete-event simulator and the live runtime and compares shapes.
 /// The resilience knobs (retry, breaker, watchdog, fault plan) drive the
-/// supervision layer added around the engine-step boundary.
+/// supervision layer around each engine step.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// How queued requests join the running batch. `Continuous` admits
@@ -56,10 +56,10 @@ pub struct ServeConfig {
     /// `None` disables the watchdog. (Single-threaded detection: a
     /// stalled step is observed when it returns, not interrupted.)
     pub watchdog_step_timeout: Option<Duration>,
-    /// Deterministic fault schedule injected at the engine-step
-    /// boundary. Empty (the default) serves healthily; chaos tests and
-    /// drills replay seeded plans. The plan's seed also drives the
-    /// retry jitter.
+    /// Deterministic fault schedule, read by the scheduler's
+    /// [`llmib_sched::FaultClock`]. Empty (the default) serves
+    /// healthily; chaos tests and drills replay seeded plans. The
+    /// plan's seed also drives the retry jitter.
     pub fault_plan: FaultPlan,
     /// Overload-survival policy: priority preemption with prefix-replay
     /// re-admission, plus the brownout degradation ladder. Fully

@@ -29,9 +29,9 @@
 //! the scheduler exits with an aggregate [`ServeReport`].
 //!
 //! Faults are handled by supervision, never by hanging: a seeded
-//! [`llmib_types::FaultPlan`] can be replayed at the engine-step
-//! boundary (stalls, transient errors, poisoned requests, memory
-//! pressure, scheduler panics), and the scheduler loop answers with
+//! [`llmib_types::FaultPlan`] can be replayed before each engine step
+//! (stalls, transient errors, poisoned requests, memory pressure,
+//! scheduler panics), and the scheduler loop answers with
 //! capped-backoff retries, per-request eviction, a circuit breaker that
 //! sheds admissions while step health breaches the SLO
 //! ([`BreakerConfig`]), and panic containment that resolves every
@@ -98,7 +98,6 @@ mod breaker;
 mod client;
 mod config;
 mod event;
-mod fault;
 mod pool;
 mod replay;
 mod report;
@@ -109,7 +108,6 @@ pub use breaker::{BreakerConfig, BreakerState};
 pub use client::{Client, PendingRequest, RequestHandle, SubmitError, SubmitOptions};
 pub use config::{PoolConfig, ServeConfig};
 pub use event::{FailReason, RejectReason, RequestOutcome, ServeEvent};
-pub use fault::FaultCounters;
 pub use pool::{PoolReport, ReplicaPool};
 pub use replay::{
     deterministic_prompt, deterministic_prompt_for, replay_admission_order, replay_trace,

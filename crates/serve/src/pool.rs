@@ -3,7 +3,7 @@
 //!
 //! [`ReplicaPool::start`] spawns N scheduler/engine replicas (each the
 //! same supervised runtime a standalone [`crate::Server`] runs — own
-//! `BatchSession`, KV budget, circuit breaker, fault injector) plus one
+//! `BatchSession`, KV budget, circuit breaker, fault clock) plus one
 //! router thread that owns ingress, routing, failover migration, and
 //! hedged dispatch (see [`crate::router`]). Clients are oblivious: the
 //! pool hands out the same [`Client`] type as a single server, and a

@@ -113,7 +113,7 @@ pub struct RobustnessStats {
     pub evictions: u32,
     /// Steps that exceeded the watchdog timeout.
     pub watchdog_stalls: u32,
-    /// Faults the injector activated from the plan.
+    /// Faults the fault clock activated from the plan.
     pub faults_injected: u32,
     /// KV reservation invariant violations (typed, per-request).
     pub kv_accounting_failures: u32,

@@ -2,9 +2,9 @@
 //! engine.
 //!
 //! Client threads submit through a bounded MPSC ingress; the scheduler
-//! thread owns a [`BatchSession`] (wrapped in a
-//! [`crate::fault::FaultInjector`] so chaos drills exercise the same
-//! code path as healthy serving) and loops
+//! thread owns a [`BatchSession`] and a [`FaultClock`] over the
+//! configured fault plan (the simulator's own interpreter, so chaos
+//! drills exercise the same code path as healthy serving) and loops
 //!
 //! 1. **tick** — advance the circuit breaker's wall-clock transitions,
 //! 2. **intake** — drain the ingress (rejecting requests that can never
@@ -32,11 +32,12 @@ use crate::breaker::CircuitBreaker;
 use crate::client::Client;
 use crate::config::ServeConfig;
 use crate::event::{FailReason, RejectReason, ServeEvent};
-use crate::fault::FaultInjector;
 use crate::report::{PrefixCounters, RequestMetrics, RobustnessStats, ServeReport};
-use llmib_engine::{BatchSession, EngineStep, PrefixConfig, Sampler, TokenEvent, TransformerModel};
-use llmib_sched::{insert_by_priority, Admission, AdmitExecutor, KvBudget, Refusal, Ticket};
-use llmib_types::{Priority, Result, Seconds, StepError};
+use llmib_engine::{BatchSession, PrefixConfig, Sampler, TokenEvent, TransformerModel};
+use llmib_sched::{
+    insert_by_priority, Admission, AdmitExecutor, Attempt, FaultClock, KvBudget, Refusal, Ticket,
+};
+use llmib_types::{Priority, Result, Seconds};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
@@ -253,7 +254,8 @@ pub(crate) fn now(epoch: Instant) -> Seconds {
 }
 
 struct Scheduler<'m> {
-    session: FaultInjector<BatchSession<'m>>,
+    session: BatchSession<'m>,
+    faults: FaultClock,
     budget: KvBudget,
     /// Brownout ladder and overload counters of the admission pass the
     /// simulator also runs.
@@ -332,9 +334,7 @@ impl<'m> Scheduler<'m> {
                 at: now(self.epoch),
             });
         } else if let Some(meta) = self.live.remove(&id) {
-            if self.session.evict(id) {
-                self.robust.evictions += 1;
-            }
+            self.evict(id);
             self.budget.release(id);
             self.robust.cancelled += 1;
             let _ = meta.sub.events.send(ServeEvent::Cancelled {
@@ -394,28 +394,23 @@ impl<'m> Scheduler<'m> {
         }
     }
 
-    /// One supervised decode step: retry transient errors with capped
-    /// exponential backoff, evict poisoned requests so the rest of the
-    /// batch survives, feed latency and failures to the breaker.
+    /// One supervised decode step: the fault clock judges each attempt.
+    /// Poisoned requests are evicted so the rest of the batch survives,
+    /// transient errors retry with capped exponential backoff, and
+    /// latency and failures feed the breaker.
     fn step_supervised(&mut self) {
-        let mut attempt: u32 = 0;
+        if self.faults.panic_due() {
+            panic!(
+                "injected fault: scheduler panic at step {}",
+                self.decode_steps
+            );
+        }
         loop {
-            let started = Instant::now();
-            match self.session.try_step() {
-                Ok(events) => {
-                    let latency = started.elapsed();
-                    let stalled = self
-                        .config
-                        .watchdog_step_timeout
-                        .is_some_and(|limit| latency > limit);
-                    if stalled {
-                        self.robust.watchdog_stalls += 1;
-                    }
-                    self.breaker.record_step(latency, stalled, Instant::now());
-                    self.process_tokens(events);
-                    return;
-                }
-                Err(StepError::Poisoned { request }) => {
+            let session = &self.session;
+            let attempt = self.faults.attempt(|id| session.live_ids().contains(&id));
+            match attempt {
+                Attempt::Run => break,
+                Attempt::Poisoned(request) => {
                     self.breaker.record_failure(Instant::now());
                     self.fail_request(request, FailReason::Poisoned);
                     if self.session.is_empty() {
@@ -426,27 +421,42 @@ impl<'m> Scheduler<'m> {
                     // are unaffected. Poison does not consume the
                     // transient retry budget.
                 }
-                Err(StepError::Transient) => {
+                Attempt::Retry(backoff) => {
                     self.breaker.record_failure(Instant::now());
-                    attempt += 1;
-                    if attempt > self.config.retry.max_retries {
-                        // The device is stuck past the retry budget:
-                        // fail the whole live batch explicitly and keep
-                        // the server up for future requests.
-                        for id in self.session.live_ids() {
-                            self.fail_request(id, FailReason::RetriesExhausted);
-                        }
-                        return;
-                    }
                     self.robust.retries += 1;
-                    let backoff = self
-                        .config
-                        .retry
-                        .backoff(attempt, self.config.fault_plan.seed ^ self.decode_steps);
                     std::thread::sleep(Duration::from_secs_f64(backoff.value()));
+                }
+                Attempt::Exhausted => {
+                    // The device is stuck past the retry budget: fail
+                    // the whole live batch explicitly and keep the
+                    // server up for future requests.
+                    self.breaker.record_failure(Instant::now());
+                    for id in self.session.live_ids() {
+                        self.fail_request(id, FailReason::RetriesExhausted);
+                    }
+                    return;
                 }
             }
         }
+        let started = Instant::now();
+        // Without an overload policy a pending stall sleeps here, inside
+        // the step the watchdog times.
+        let stall = self.faults.take_stall();
+        if stall.value() > 0.0 {
+            std::thread::sleep(Duration::from_secs_f64(stall.value()));
+        }
+        let events = self.session.step();
+        self.faults.stepped();
+        let latency = started.elapsed();
+        let stalled = self
+            .config
+            .watchdog_step_timeout
+            .is_some_and(|limit| latency > limit);
+        if stalled {
+            self.robust.watchdog_stalls += 1;
+        }
+        self.breaker.record_step(latency, stalled, Instant::now());
+        self.process_tokens(events);
     }
 
     /// Stream one successful step's tokens out, retire completions.
@@ -504,14 +514,21 @@ impl<'m> Scheduler<'m> {
         self.admission.observe_step();
     }
 
+    /// Drop `id` from the engine batch; a request evicted for any reason
+    /// can no longer be poisoned.
+    fn evict(&mut self, id: u64) {
+        self.faults.evicted(id);
+        if self.session.evict(id) {
+            self.robust.evictions += 1;
+        }
+    }
+
     /// Kill one admitted request: evict it from the batch, free its KV
     /// reservation, and resolve its client with a terminal failure. By
     /// per-sequence independence the survivors' token streams are
     /// bitwise unaffected.
     fn fail_request(&mut self, id: u64, reason: FailReason) {
-        if self.session.evict(id) {
-            self.robust.evictions += 1;
-        }
+        self.evict(id);
         self.budget.release(id);
         self.pending_cancels.remove(&id);
         if let Some(meta) = self.live.remove(&id) {
@@ -526,8 +543,7 @@ impl<'m> Scheduler<'m> {
     fn into_report(mut self) -> ServeReport {
         let makespan =
             Seconds((self.last_finished_at - self.first_submitted_at.unwrap_or(0.0)).max(0.0));
-        let counters = self.session.counters;
-        self.robust.faults_injected = counters.injected;
+        self.robust.faults_injected = self.faults.injected();
         self.robust.breaker_opened = self.breaker.opened;
         self.robust.breaker_degraded_steps = self.breaker.degraded_steps;
         self.robust.breaker_recoveries = self.breaker.recoveries;
@@ -554,7 +570,8 @@ impl<'m> Scheduler<'m> {
 /// engine sequences, evicts victims into replay submissions, and
 /// resolves refused submissions with their client events.
 struct LiveAdmit<'a, 'm> {
-    session: &'a mut FaultInjector<BatchSession<'m>>,
+    session: &'a mut BatchSession<'m>,
+    faults: &'a mut FaultClock,
     live: &'a mut HashMap<u64, LiveSeq>,
     prefix: &'a mut PrefixCounters,
     admission_order: &'a mut Vec<u64>,
@@ -643,8 +660,8 @@ impl AdmitExecutor for LiveAdmit<'_, '_> {
     /// recompute-on-preempt style), and greedy determinism resumes the
     /// stream bitwise where it left off once it re-admits. No
     /// client-visible event fires — the client only observes a pause in
-    /// its token stream. Injector eviction also cancels any pending
-    /// poison for the victim, as the simulator's eviction does.
+    /// its token stream. Eviction also cancels any pending poison for
+    /// the victim, as the simulator's eviction does.
     fn evict(&mut self, id: u64) -> (Submission, u32) {
         let LiveSeq {
             mut sub,
@@ -652,6 +669,7 @@ impl AdmitExecutor for LiveAdmit<'_, '_> {
             tokens,
             ..
         } = self.live.remove(&id).expect("victim is live");
+        self.faults.evicted(id);
         self.session.evict(id);
         sub.prompt.extend_from_slice(&tokens);
         sub.max_new_tokens -= tokens.len();
@@ -696,7 +714,8 @@ fn scheduler_loop(
         None => BatchSession::new(model),
     };
     let mut sched = Scheduler {
-        session: FaultInjector::new(session, config.fault_plan.clone()),
+        session,
+        faults: FaultClock::new(config.fault_plan.clone(), config.retry),
         budget: KvBudget::new(config.kv_capacity_tokens, config.kv_block_tokens),
         admission: Admission::new(config.policy, config.overload),
         breaker: CircuitBreaker::new(config.breaker.clone()),
@@ -752,12 +771,12 @@ fn scheduler_loop(
         //     during the stall are visible to this iteration's
         //     admission pass — the simulator's replica step advances
         //     its clock at the same point. The legacy path keeps the
-        //     stall inside `try_step` (the chaos watchdog asserts on
-        //     in-step latency).
+        //     stall inside the supervised step (the chaos watchdog
+        //     asserts on in-step latency).
         if config.overload.active() {
-            let stall = sched.session.take_stall();
-            if stall > 0.0 {
-                std::thread::sleep(Duration::from_secs_f64(stall));
+            let stall = sched.faults.take_stall();
+            if stall.value() > 0.0 {
+                std::thread::sleep(Duration::from_secs_f64(stall.value()));
             }
         }
         // 2. Intake: drain the ingress, but never hold more than
@@ -780,11 +799,12 @@ fn scheduler_loop(
         sched.shed_expired();
         // 5. Admission at this decode-step boundary, under the current
         //    memory-pressure factor and breaker-adjusted concurrency.
-        let pressure = sched.session.kv_pressure();
+        let pressure = sched.faults.pressure();
         sched.budget.set_pressure_factor(pressure);
         let cap = sched.breaker.effective_concurrency(config.max_concurrency);
         let mut exec = LiveAdmit {
             session: &mut sched.session,
+            faults: &mut sched.faults,
             live: &mut sched.live,
             prefix: &mut sched.prefix,
             admission_order: &mut sched.admission_order,

@@ -6,7 +6,10 @@
 //! * the preempted-and-resumed stream is **bitwise identical** to an
 //!   uncontended single-owner [`BatchSession`] run of the same request,
 //! * the overload counters (preemptions, replayed tokens, brownout
-//!   steps, per-class tallies) **reconcile exactly** between backends.
+//!   steps, per-class tallies) **reconcile exactly** between backends,
+//!   also when the victim is still prefilling under chunked prefill,
+//! * retry exhaustion means one thing in both: the batch fails after
+//!   the retry budget and the failures left over hit the next batch.
 //!
 //! Wall-clock nondeterminism is fenced with two stall gates, both
 //! anchored to decode-step indices (the shared logical clock):
@@ -32,7 +35,7 @@ use llmib_sched::{BatchingPolicy, ServingSimulator, SimConfig};
 use llmib_serve::{
     deterministic_prompt, replay_admission_order, replay_trace, replay_trace_on, BrownoutConfig,
     OverloadConfig, PoolConfig, Priority, ReplayOptions, ReplicaPool, RequestOutcome, ServeConfig,
-    Server,
+    ServeReport, Server,
 };
 use llmib_types::{FaultEvent, FaultKind, FaultPlan, Request, Seconds};
 use std::sync::Arc;
@@ -97,6 +100,11 @@ fn gated_trace() -> Vec<Request> {
 /// between the end of gate 1 and the arrival — debug-build decode on
 /// the scaled model takes milliseconds per step, leaving a wide margin.
 fn gates() -> FaultPlan {
+    gates_at(K)
+}
+
+/// [`gates`] with gate 2 at decode step `k`.
+fn gates_at(k: u64) -> FaultPlan {
     FaultPlan::new(vec![
         FaultEvent {
             at_step: 0,
@@ -105,12 +113,150 @@ fn gates() -> FaultPlan {
             },
         },
         FaultEvent {
-            at_step: K,
+            at_step: k,
             kind: FaultKind::StepStall {
                 extra: Seconds(4.0),
             },
         },
     ])
+}
+
+/// Priority preemption without brownout.
+fn preempting() -> OverloadConfig {
+    OverloadConfig {
+        preemption: true,
+        ..OverloadConfig::default()
+    }
+}
+
+/// The simulator under [`preempting`] with a `kv_tokens` pool, in the
+/// live server's shape.
+fn preempting_sim(kv_tokens: u64) -> ServingSimulator {
+    ServingSimulator::new(SimConfig {
+        policy: BatchingPolicy::Continuous,
+        max_concurrency: 8,
+        kv_capacity_tokens: kv_tokens,
+        kv_block_tokens: Some(16),
+    })
+    .with_overload(preempting())
+    .expect("valid overload policy")
+}
+
+/// A server over `live_model` under [`preempting`], in the shape of
+/// [`preempting_sim`], replaying `trace` in real time from one client
+/// thread (submission order == trace order). An active overload policy
+/// makes the live scheduler sleep a stall gate before its intake, where
+/// the simulator's replica step charges it.
+fn serve_preempting(trace: &[Request], config: ServeConfig) -> ServeReport {
+    let server = Server::start(
+        live_model(),
+        ServeConfig {
+            policy: BatchingPolicy::Continuous,
+            max_concurrency: 8,
+            kv_block_tokens: Some(16),
+            queue_capacity: 8,
+            overload: preempting(),
+            ..config
+        },
+    )
+    .expect("server starts");
+    let opts = ReplayOptions {
+        time_scale: 1.0,
+        client_threads: 1,
+        ..ReplayOptions::default()
+    };
+    replay_trace(&server, trace, &opts);
+    let report = server.shutdown();
+    assert!(
+        report.reconciles(),
+        "every submission resolved exactly once"
+    );
+    report
+}
+
+/// The live scheduler offers chunk-admitted sequences that are still
+/// prefilling as preemption victims, and so does the simulator. With a
+/// chunk budget of 8, the four best-effort prompts prefill one after
+/// another, four chunks each, while the finished ones decode. Gate 2 at
+/// step 11 falls after two of the youngest resident's four chunks: the
+/// interactive arrival preempts it mid-prefill, so it folds zero tokens
+/// and its replay prefills all four chunks again.
+#[test]
+fn a_still_prefilling_victim_is_preempted_alike_in_both_backends() {
+    const CHUNK: u32 = 8;
+    let trace = gated_trace();
+    let simulated = preempting_sim(CAPACITY)
+        .with_prefill_chunking(CHUNK)
+        .run_with_faults(trace.clone(), &sim_perf(), &gates_at(11));
+    let report = serve_preempting(
+        &trace,
+        ServeConfig {
+            kv_capacity_tokens: CAPACITY,
+            prefill_token_budget: Some(CHUNK as usize),
+            fault_plan: gates_at(11),
+            ..ServeConfig::default()
+        },
+    );
+
+    assert_eq!(report.completed, 5);
+    assert_eq!(simulated.completed, 5);
+    assert_eq!(report.overload.preemptions, 1);
+    assert_eq!(simulated.preemptions, 1);
+    assert_eq!(report.overload.replayed_tokens, simulated.replayed_tokens);
+    assert_eq!(simulated.replayed_tokens, 0, "the victim streamed nothing");
+    assert_eq!(report.overload.per_class, simulated.per_class);
+    let chunks = u64::from(PROMPT.div_ceil(CHUNK));
+    assert_eq!(report.prefill_chunks, simulated.prefill_chunks);
+    assert_eq!(
+        simulated.prefill_chunks,
+        5 * chunks + 2,
+        "the victim's two chunks are spent again on replay"
+    );
+}
+
+/// Retry exhaustion follows one rule in both backends. Four requests
+/// park behind a 1 s gate; 20 transient failures at step 3 exhaust the
+/// first batch's 5 retries, and the 14 left over hit the next batch
+/// (two requests at t = 3 s), which exhausts its 5 retries too. An idle
+/// replica attempts no step, so the leftovers wait for that batch.
+#[test]
+fn retry_exhaustion_and_its_leftover_failures_reconcile_with_sim() {
+    let mut trace: Vec<Request> = (0..4)
+        .map(|id| Request::new(id, Seconds(0.01 * (id + 1) as f64), PROMPT, OUTPUT))
+        .collect();
+    trace.extend((4..6).map(|id| Request::new(id, Seconds(3.0), PROMPT, OUTPUT)));
+    let plan = FaultPlan::new(vec![
+        FaultEvent {
+            at_step: 0,
+            kind: FaultKind::StepStall {
+                extra: Seconds(1.0),
+            },
+        },
+        FaultEvent {
+            at_step: 3,
+            kind: FaultKind::TransientStepError { failures: 20 },
+        },
+    ]);
+    // The pool never needs preemption; the policy only places gate 1.
+    let simulated = preempting_sim(4096).run_with_faults(trace.clone(), &sim_perf(), &plan);
+    let report = serve_preempting(
+        &trace,
+        ServeConfig {
+            kv_capacity_tokens: 4096,
+            fault_plan: plan,
+            ..ServeConfig::default()
+        },
+    );
+
+    let live = (
+        report.completed,
+        report.robustness.failed,
+        report.robustness.retries,
+    );
+    let sim = (simulated.completed, simulated.failed, simulated.retries);
+    assert_eq!(live, sim, "(completed, failed, retries): live vs simulator");
+    assert_eq!(sim, (0, 6, 10));
+    assert_eq!(report.robustness.faults_injected, simulated.faults_injected);
 }
 
 #[test]

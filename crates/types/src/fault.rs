@@ -4,10 +4,10 @@
 //! memory pressure mid-batch; a load-response curve is only meaningful
 //! if the system degrades gracefully under those conditions instead of
 //! collapsing. This module defines the *deterministic* fault vocabulary
-//! both serving halves consume: the live runtime in `llmib-serve`
-//! injects a [`FaultPlan`] at its engine-step boundary, and the
-//! discrete-event simulator in `llmib-sched` interprets the identical
-//! plan on its simulated clock — so a chaos scenario can be replayed,
+//! both serving halves consume: one interpreter, `llmib-sched`'s
+//! `FaultClock`, reads a [`FaultPlan`] for the live runtime in
+//! `llmib-serve` (on wall time) and for the discrete-event simulator
+//! (on its simulated clock) — so a chaos scenario can be replayed,
 //! cross-validated, and bisected exactly like a healthy trace.
 //!
 //! Faults are anchored to *decode-step indices*, not wall-clock times:
@@ -44,7 +44,11 @@ pub enum FaultKind {
     },
     /// A retryable device fault: the next `failures` step attempts fail
     /// before one succeeds. A supervisor that retries with backoff rides
-    /// it out; one that does not strands the whole batch.
+    /// it out; one that does not strands the whole batch. A supervisor
+    /// retries at most [`RetryPolicy::max_retries`] times: the next
+    /// failure fails the whole live batch, and the failures left over
+    /// hit the next step attempts, which are the next batch's, since an
+    /// idle scheduler attempts no step.
     TransientStepError {
         /// Consecutive failing attempts before the step succeeds.
         failures: u32,
@@ -294,32 +298,6 @@ impl ReplicaFaultPlan {
     }
 }
 
-/// Why an engine step could not complete. Returned across the
-/// engine-step trait boundary so a supervisor can choose the right
-/// recovery: retry a transient, isolate a poisoned request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub enum StepError {
-    /// A retryable device fault; the step may succeed if retried.
-    Transient,
-    /// This specific request is deterministically failing and must be
-    /// evicted before the batch can make progress.
-    Poisoned {
-        /// The failing request's id.
-        request: u64,
-    },
-}
-
-impl std::fmt::Display for StepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StepError::Transient => write!(f, "transient device fault (retryable)"),
-            StepError::Poisoned { request } => {
-                write!(f, "request {request} poisoned (evict to continue)")
-            }
-        }
-    }
-}
-
 /// Capped exponential backoff with deterministic jitter.
 ///
 /// Both the live runtime (wall-clock sleeps) and the simulator
@@ -509,11 +487,5 @@ mod tests {
         assert_eq!(plan.events()[0].at_step, 7);
         assert_eq!(plan.events()[0].kind, FaultKind::SchedulerPanic);
         assert!(pool.plan_for(ReplicaId(0)).is_empty());
-    }
-
-    #[test]
-    fn step_error_display() {
-        assert!(StepError::Transient.to_string().contains("retryable"));
-        assert!(StepError::Poisoned { request: 4 }.to_string().contains('4'));
     }
 }

@@ -24,9 +24,7 @@ pub mod stats;
 mod units;
 
 pub use error::{Error, Result};
-pub use fault::{
-    FaultEvent, FaultKind, FaultPlan, ReplicaFaultPlan, ReplicaId, RetryPolicy, StepError,
-};
+pub use fault::{FaultEvent, FaultKind, FaultPlan, ReplicaFaultPlan, ReplicaId, RetryPolicy};
 pub use parallelism::Parallelism;
 pub use precision::Precision;
 pub use request::{

@@ -268,8 +268,10 @@ fn bench_flash(tc: &TrialConfig, heads: usize, d: usize, n: usize) -> (Measured,
 /// question after a 1024-token cached document).
 const LAYER_CONTEXT: usize = 1024;
 const LAYER_ROWS: usize = 64;
-/// Decode rows timed per trial of `attention_decode_c1024`.
-const DECODE_ROWS: usize = 200;
+/// Decode rows timed per trial of `attention_decode_c1024`: 70–110 ms
+/// a trial on a 2-vCPU AVX2 Xeon, long enough that a 3-trial run
+/// separates kernel backends on a shared host.
+const DECODE_ROWS: usize = 4000;
 
 /// The repository benchmark's model (GQA, 4 query heads of width 16
 /// over 1 KV head) with room for `max_seq` positions.
