@@ -68,16 +68,6 @@ impl ConfidenceInterval {
         self.lo <= other.hi && other.lo <= self.hi
     }
 
-    /// Half the interval width relative to the point estimate
-    /// (`0.0` when the point is not positive).
-    pub fn relative_half_width(&self) -> f64 {
-        if self.point > 0.0 {
-            (self.hi - self.lo) / (2.0 * self.point)
-        } else {
-            0.0
-        }
-    }
-
     /// JSON form used inside `BENCH_*.json` metric objects.
     pub fn to_value(&self) -> Value {
         Value::Object(vec![

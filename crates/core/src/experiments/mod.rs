@@ -24,7 +24,6 @@ pub use common::{dominates, last_finite, mean_finite, sweep_batches, sweep_lengt
 
 use llmib_perf::PerfModel;
 use llmib_report::{Figure, Table};
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// Context shared by experiment runs.
@@ -141,18 +140,10 @@ pub struct ExperimentRun {
     pub checks: Vec<ShapeCheck>,
 }
 
-impl ExperimentRun {
-    /// Whether every check passed.
-    pub fn all_passed(&self) -> bool {
-        self.checks.iter().all(|c| c.passed)
-    }
-}
-
-/// Run every experiment (rayon-parallel — sweeps are independent).
+/// Run every experiment, in registry order.
 pub fn run_all(ctx: &ExperimentContext) -> Vec<ExperimentRun> {
-    let experiments = all_experiments();
-    experiments
-        .par_iter()
+    all_experiments()
+        .iter()
         .map(|e| {
             let output = e.run(ctx);
             let checks = e.check(&output);

@@ -3,7 +3,6 @@
 //! This crate ties the substrates together into the benchmarking suite:
 //!
 //! * [`scenario`] — scenario definitions (re-exported from `llmib-perf`);
-//! * [`metrics`] — the paper's §III-5 metric definitions (Eq. 1, Eq. 2);
 //! * [`experiments`] — the registry with one experiment per figure and
 //!   table of the paper, each emitting the same rows/series the paper
 //!   plots plus machine-checked shape assertions;
@@ -16,7 +15,6 @@
 
 pub mod experiments;
 pub mod insights;
-pub mod metrics;
 
 /// Scenario definitions (shared with the analytical performance model).
 pub mod scenario {

@@ -35,7 +35,7 @@ use crate::config::EngineConfig;
 use crate::flash::{weigh_lanes, weighted_sum, weighted_sum_lanes, OnlineSoftmax, LANES};
 use crate::model::{Linear, Workspace};
 use crate::quant::QuantMode;
-use crate::tensor::{score1, score4, Matrix, RopeTable, PARALLEL_FLOP_THRESHOLD};
+use crate::tensor::{score1, score4, Matrix, RopeTable};
 use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
@@ -473,24 +473,17 @@ impl Attention {
             cache.append(layer, k.row(i), v.row(i));
         }
         let width = self.heads * self.head_dim;
-        let mut out = Matrix::zeros(t, width);
-        // Tiles are independent, so prefill attends them in parallel
-        // above the work threshold, each with its own scratch; every
-        // row folds the same chunks either way, so the result stays
-        // bitwise equal to the serial (and token-at-a-time) path.
-        let flops = t * (start + t) * width;
-        let cache = &*cache;
-        out.for_each_tile_mut(
-            PREFILL_TILE_ROWS,
-            flops >= PARALLEL_FLOP_THRESHOLD,
-            |r0, tile| {
-                let rows = tile.len() / width;
-                let mut scratch = TileScratch::new(rows, self.heads, self.kv_heads);
-                let q = &q.data()[r0 * width..(r0 + rows) * width];
-                self.attend_tile(q, layer, cache, start + r0 + 1, &mut scratch, tile);
-            },
-        );
-        self.wo.matmul_mat(&out)
+        let mut out = vec![0.0f32; t * width];
+        // Each tile is an independent run of the attention core with its
+        // own scratch; every row folds the same chunks as the
+        // token-at-a-time path, so the result stays bitwise equal to it.
+        for (i, tile) in out.chunks_mut(PREFILL_TILE_ROWS * width).enumerate() {
+            let (r0, rows) = (i * PREFILL_TILE_ROWS, tile.len() / width);
+            let mut scratch = TileScratch::new(rows, self.heads, self.kv_heads);
+            let q = &q.data()[r0 * width..(r0 + rows) * width];
+            self.attend_tile(q, layer, cache, start + r0 + 1, &mut scratch, tile);
+        }
+        self.wo.matmul_mat(&Matrix::from_vec(t, width, out))
     }
 
     /// Batched decode step: one GEMM per projection for a batch of

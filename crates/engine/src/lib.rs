@@ -17,11 +17,11 @@
 //!   the paged KV block chain, never materializing a full score row;
 //! * speculative decoding with a draft model (§IV-B5, Fig. 4b).
 //!
-//! Matrix kernels are `rayon`-parallel above a work threshold and serial
-//! below it. Prefill runs whole prompts through blocked, cache-tiled
-//! GEMMs ([`matmul_mat`]) and batched decode stacks concurrent sequences
-//! so weights stream once per step; a reusable [`Workspace`] makes the
-//! steady-state decode loop allocation free. Every f32 path funnels
+//! Matrix kernels run on the calling thread. Prefill runs whole prompts
+//! through blocked, cache-tiled GEMMs ([`matmul_mat`]) and batched
+//! decode stacks concurrent sequences so weights stream once per step;
+//! a reusable [`Workspace`] makes the steady-state decode loop
+//! allocation free. Every f32 path funnels
 //! through one dot-product order ([`dot_unrolled`]) — on x86_64 the
 //! kernels are explicit SSE2 implementations, and AVX2 ones chosen by
 //! CPUID at run time ([`kernel_backend`]), constructed to be *bitwise

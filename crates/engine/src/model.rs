@@ -41,14 +41,6 @@ impl Linear {
         }
     }
 
-    /// Output features (rows of the weight matrix).
-    pub fn out_features(&self) -> usize {
-        match self {
-            Linear::F32(w) => w.rows(),
-            Linear::Quant(q) => q.rows(),
-        }
-    }
-
     /// `y = W · x`.
     pub fn matmul_vec(&self, x: &[f32]) -> Vec<f32> {
         match self {

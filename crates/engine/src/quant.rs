@@ -11,8 +11,8 @@
 //! weights stay compressed through the multiply (the memory-bound GEMV
 //! phase streams 1 or ½ bytes per weight instead of 4), and because
 //! the group order is fixed and integer accumulation is exact, every
-//! execution path — serial, rayon-parallel, batched — produces
-//! bitwise-identical results.
+//! execution path — per-row GEMV, batched — produces bitwise-identical
+//! results.
 //!
 //! Round-trip error bound (asserted by proptests here and in the golden
 //! suite): for every weight, `|w − scale·q| ≤ scale/2` with `scale =
@@ -22,7 +22,6 @@
 //! keeps the same bound (the true values are below `2^-126`).
 
 use crate::tensor::Matrix;
-use rayon::prelude::*;
 
 /// Columns per quantization group: 32 matches the GGML block size and
 /// divides every projection width the engine configs use, while tail
@@ -289,30 +288,21 @@ impl QuantizedLinear {
     }
 
     /// [`QuantizedLinear::matmul_vec`] into caller-provided output and
-    /// activation-scratch buffers. Runs serially below the matmul work
-    /// threshold, rayon-parallel over output rows above it; the fixed
-    /// per-row group order keeps both bitwise identical.
+    /// activation-scratch buffers.
     pub fn matmul_vec_into(&self, x: &[f32], y: &mut [f32], scratch: &mut QuantScratch) {
         assert_eq!(self.cols, x.len());
         assert_eq!(self.rows, y.len());
         Self::quantize_activations(x, self.group, scratch);
         let (xq, xscales) = (&scratch.q[..], &scratch.scales[..]);
-        if self.rows * self.cols < crate::tensor::PARALLEL_FLOP_THRESHOLD {
-            for (r, out) in y.iter_mut().enumerate() {
-                *out = self.dot_row(r, xq, xscales);
-            }
-        } else {
-            y.par_iter_mut().enumerate().for_each(|(r, out)| {
-                *out = self.dot_row(r, xq, xscales);
-            });
+        for (r, out) in y.iter_mut().enumerate() {
+            *out = self.dot_row(r, xq, xscales);
         }
     }
 
     /// Batched `Y = X · W_qᵀ`: each batch row is quantized exactly as it
     /// would be on its own and accumulated in the same group order, so
     /// results are bitwise equal to per-row
-    /// [`QuantizedLinear::matmul_vec`] on every dispatch path. Batch
-    /// rows run in parallel above the work threshold.
+    /// [`QuantizedLinear::matmul_vec`].
     pub fn matmul_mat(&self, xs: &Matrix) -> Matrix {
         assert_eq!(self.cols, xs.cols());
         let m = xs.rows();
@@ -326,21 +316,12 @@ impl QuantizedLinear {
             xscales[t * gpr..(t + 1) * gpr].copy_from_slice(&scratch.scales);
         }
         let mut data = vec![0.0f32; m * self.rows];
-        let fill_row = |t: usize, out_row: &mut [f32]| {
+        for (t, out_row) in data.chunks_mut(self.rows).enumerate() {
             let xq = &xqs[t * self.cols..(t + 1) * self.cols];
             let xs = &xscales[t * gpr..(t + 1) * gpr];
             for (r, out) in out_row.iter_mut().enumerate() {
                 *out = self.dot_row(r, xq, xs);
             }
-        };
-        if m * self.rows * self.cols < crate::tensor::PARALLEL_FLOP_THRESHOLD {
-            for (t, out_row) in data.chunks_mut(self.rows).enumerate() {
-                fill_row(t, out_row);
-            }
-        } else {
-            data.par_chunks_mut(self.rows)
-                .enumerate()
-                .for_each(|(t, out_row)| fill_row(t, out_row));
         }
         Matrix::from_vec(m, self.rows, data)
     }
@@ -470,9 +451,9 @@ mod tests {
 
     #[test]
     fn parallel_batched_matmul_matches_per_row_bitwise() {
-        // 64 × 64 weights against 32 batch rows crosses the work
-        // threshold, so this exercises the rayon path; exact integer
-        // group dots in fixed order keep it bitwise equal regardless.
+        // A 32-row batch against 64 × 64 weights: the largest batched
+        // shape here; exact integer group dots in fixed order keep it
+        // bitwise equal to the per-row GEMV.
         let w = Matrix::random(64, 64, 5, 0.7);
         let q = QuantizedLinear::quantize(&w);
         let xs = Matrix::random(32, 64, 9, 0.9);

@@ -17,7 +17,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// Row-major dense `rows × cols` matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,29 +75,6 @@ impl Matrix {
     /// Raw data.
     pub fn data(&self) -> &[f32] {
         &self.data
-    }
-
-    /// Apply `f` to every tile of up to `tile_rows` consecutive rows as
-    /// `(first_row, tile_data)`, across rayon threads when `parallel`
-    /// (tiles are disjoint, so parallel and serial execution write
-    /// identical bytes). Used by the prefill attention sweep, where each
-    /// tile is an independent run of the attention core.
-    pub(crate) fn for_each_tile_mut<F>(&mut self, tile_rows: usize, parallel: bool, f: F)
-    where
-        F: Fn(usize, &mut [f32]) + Send + Sync,
-    {
-        let span = tile_rows * self.cols;
-        if parallel {
-            self.data
-                .par_chunks_mut(span)
-                .enumerate()
-                .for_each(|(i, tile)| f(i * tile_rows, tile));
-        } else {
-            self.data
-                .chunks_mut(span)
-                .enumerate()
-                .for_each(|(i, tile)| f(i * tile_rows, tile));
-        }
     }
 }
 
@@ -164,14 +140,8 @@ pub fn kernel_backend() -> &'static str {
     }
 }
 
-/// Below this many multiply-adds a matmul runs serially: rayon dispatch
-/// costs more than it recovers on matrices this small (every `tiny()`
-/// config lands under it).
-pub(crate) const PARALLEL_FLOP_THRESHOLD: usize = 64 * 1024;
-
-/// `y = W · x` where `W` is `rows × cols` and `x` has `cols` entries.
-/// Rows are computed in parallel with rayon above a work threshold and
-/// serially below it.
+/// `y = W · x` where `W` is `rows × cols` and `x` has `cols` entries,
+/// one [`dot_kernel`] per output row.
 pub fn matmul_vec(w: &Matrix, x: &[f32]) -> Vec<f32> {
     let mut y = vec![0.0f32; w.rows()];
     matmul_vec_into(w, x, &mut y);
@@ -183,14 +153,8 @@ pub fn matmul_vec(w: &Matrix, x: &[f32]) -> Vec<f32> {
 pub fn matmul_vec_into(w: &Matrix, x: &[f32], y: &mut [f32]) {
     assert_eq!(w.cols(), x.len(), "matmul_vec dimension mismatch");
     assert_eq!(w.rows(), y.len(), "matmul_vec output length mismatch");
-    if w.rows() * w.cols() < PARALLEL_FLOP_THRESHOLD {
-        for (r, out) in y.iter_mut().enumerate() {
-            *out = dot_kernel(w.row(r), x);
-        }
-    } else {
-        y.par_iter_mut().enumerate().for_each(|(r, out)| {
-            *out = dot_kernel(w.row(r), x);
-        });
+    for (r, out) in y.iter_mut().enumerate() {
+        *out = dot_kernel(w.row(r), x);
     }
 }
 
@@ -211,23 +175,14 @@ const GEMM_NB: usize = 64;
 /// Blocked over input rows (`GEMM_MB`) and weight rows (`GEMM_NB`) for
 /// cache reuse; the K dimension is never split, so every output element
 /// is one [`dot_unrolled`] — bitwise identical to the GEMV path.
-/// Parallelized over input-row blocks above a work threshold, serial
-/// below it.
 pub fn matmul_mat(w: &Matrix, xs: &Matrix) -> Matrix {
     assert_eq!(w.cols(), xs.cols(), "matmul_mat dimension mismatch");
-    let (m, n) = (xs.rows(), w.rows());
-    let mut out = Matrix::zeros(m, n);
-    if m * n * w.cols() < PARALLEL_FLOP_THRESHOLD {
-        out.data
-            .chunks_mut(GEMM_MB * n)
-            .enumerate()
-            .for_each(|(chunk, rows)| gemm_block(w, xs, chunk * GEMM_MB, rows, n));
-    } else {
-        out.data
-            .par_chunks_mut(GEMM_MB * n)
-            .enumerate()
-            .for_each(|(chunk, rows)| gemm_block(w, xs, chunk * GEMM_MB, rows, n));
-    }
+    let n = w.rows();
+    let mut out = Matrix::zeros(xs.rows(), n);
+    out.data
+        .chunks_mut(GEMM_MB * n)
+        .enumerate()
+        .for_each(|(chunk, rows)| gemm_block(w, xs, chunk * GEMM_MB, rows, n));
     out
 }
 

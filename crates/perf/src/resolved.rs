@@ -4,7 +4,7 @@
 
 use crate::calibrate::Calibration;
 use crate::plan::MemoryPlan;
-use crate::roofline::{Roofline, StepCosts};
+use crate::roofline::Roofline;
 use crate::scenario::Scenario;
 use crate::PerfModel;
 use llmib_types::{Result, Seconds};
@@ -46,11 +46,6 @@ impl ResolvedScenario {
     /// requests at (average) context length `ctx`.
     pub fn decode_step_time(&self, batch: u32, ctx: u32) -> Seconds {
         self.inner.decode_step(batch.max(1), ctx.max(1)).total()
-    }
-
-    /// Full cost breakdown of one decode step.
-    pub fn decode_step_costs(&self, batch: u32, ctx: u32) -> StepCosts {
-        self.inner.decode_step(batch.max(1), ctx.max(1))
     }
 
     /// Wall-clock time to prefill `prompt_tokens` for `batch` requests.

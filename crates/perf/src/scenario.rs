@@ -97,7 +97,6 @@ pub struct ScenarioBuilder {
     output_tokens: Option<u32>,
     batch_size: Option<u32>,
     kv_cache: Option<bool>,
-    kv_block_override: Option<u32>,
     spec_decode: Option<SpecDecode>,
 }
 
@@ -156,12 +155,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Override the paged-KV block size in tokens.
-    pub fn kv_block_size(mut self, tokens: u32) -> Self {
-        self.kv_block_override = Some(tokens);
-        self
-    }
-
     /// Enable speculative decoding.
     pub fn spec_decode(mut self, sd: SpecDecode) -> Self {
         self.spec_decode = Some(sd);
@@ -205,7 +198,7 @@ impl ScenarioBuilder {
             parallelism: self.parallelism.unwrap_or(Parallelism::SINGLE),
             shape: TokenShape::new(input, output, batch),
             kv_cache: self.kv_cache.unwrap_or(true),
-            kv_block_override: self.kv_block_override,
+            kv_block_override: None,
             spec_decode: self.spec_decode,
         })
     }

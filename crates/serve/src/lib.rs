@@ -8,7 +8,7 @@
 //! requests over time, schedules them onto the engine with continuous
 //! batching, streams tokens back as they are produced, and measures
 //! itself with wall-clock TTFT/ITL/E2E (the paper's Eq. 1 / Eq. 2 via
-//! `llmib_core::metrics`).
+//! `llmib_types::metrics`).
 //!
 //! Architecture (one scheduler thread, any number of client threads):
 //!

@@ -1,12 +1,12 @@
 //! Per-request and aggregate wall-clock serving metrics.
 //!
 //! Per-request numbers come straight from the paper's definitions in
-//! `llmib_core::metrics` (Eq. 1 ITL, Eq. 2 throughput); aggregates use
+//! `llmib_types::metrics` (Eq. 1 ITL, Eq. 2 throughput); aggregates use
 //! the shared nearest-rank percentile helpers so live reports are
 //! directly comparable with [`llmib_sched::ServingReport`].
 
-use llmib_core::metrics::{mean, p50, p90, p99, InferenceMetrics, MetricInputs};
 use llmib_sched::OverloadCounters;
+use llmib_types::metrics::{mean, p50, p90, p99, InferenceMetrics, MetricInputs};
 use llmib_types::{ItlSummary, LatencySample, Priority, Seconds, TokenShape};
 use serde::Serialize;
 
@@ -44,7 +44,7 @@ pub struct RequestMetrics {
 
 impl RequestMetrics {
     /// Derive final metrics from raw timestamps via the paper's
-    /// equations (`llmib_core::metrics`).
+    /// equations (`llmib_types::metrics`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_timestamps(
         id: u64,

@@ -4,8 +4,8 @@
 //! units ([`Flops`], [`ByteCount`], [`Seconds`], [`Watts`]), numeric
 //! [`Precision`]s, [`Parallelism`] layouts, the common [`Error`] type,
 //! the serving [`Request`] lifecycle shared by the simulator and the
-//! live runtime, and the [`stats`] order statistics every latency table
-//! is computed with.
+//! live runtime, the [`stats`] order statistics every latency table is
+//! computed with, and the paper's §III-5 [`metrics`] (Eq. 1, Eq. 2).
 //!
 //! The unit newtypes are deliberately thin (`f64` inside) — they exist to
 //! keep dimensional mistakes out of the roofline arithmetic, not to be a
@@ -17,6 +17,7 @@
 
 mod error;
 pub mod fault;
+pub mod metrics;
 mod parallelism;
 mod precision;
 mod request;

@@ -2,10 +2,10 @@
 //! latency order statistics (nearest-rank percentiles) every serving
 //! report in the suite is aggregated with.
 
-use llmib_types::{Seconds, TokenShape, TokensPerSecond, Watts};
+use crate::{Seconds, TokenShape, TokensPerSecond, Watts};
 use serde::Serialize;
 
-pub use llmib_types::stats::{mean, p50, p90, p95, p99, percentile};
+pub use crate::stats::{mean, p50, p90, p95, p99, percentile};
 
 /// Raw timing inputs of one benchmark run.
 #[derive(Debug, Clone, Copy, Serialize)]

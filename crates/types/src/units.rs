@@ -20,11 +20,6 @@ macro_rules! unit {
                 self.0
             }
 
-            /// True if the value is finite and non-negative.
-            pub fn is_valid(self) -> bool {
-                self.0.is_finite() && self.0 >= 0.0
-            }
-
             /// Element-wise maximum.
             pub fn max(self, other: Self) -> Self {
                 Self(self.0.max(other.0))
@@ -131,11 +126,6 @@ impl Flops {
     /// Tera-FLOP convenience constructor.
     pub fn tera(t: f64) -> Self {
         Self(t * 1e12)
-    }
-
-    /// Giga-FLOP convenience constructor.
-    pub fn giga(g: f64) -> Self {
-        Self(g * 1e9)
     }
 
     /// Time to execute this much work at `rate`.

@@ -40,11 +40,11 @@ pub use llmib_workloads as workloads;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use llmib_core::experiments::{all_experiments, Experiment, ExperimentContext};
-    pub use llmib_core::metrics::{InferenceMetrics, MetricInputs};
     pub use llmib_core::scenario::{Scenario, ScenarioBuilder};
     pub use llmib_frameworks::FrameworkId;
     pub use llmib_hardware::HardwareId;
     pub use llmib_models::ModelId;
     pub use llmib_perf::{PerfModel, Prediction};
+    pub use llmib_types::metrics::{InferenceMetrics, MetricInputs};
     pub use llmib_types::{Parallelism, Precision};
 }
